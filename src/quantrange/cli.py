@@ -15,24 +15,21 @@ from . import backtest as bt
 from . import interval_metrics as im
 from . import market_data as md
 from . import svg
-from .config import MODEL_KINDS, RunConfig, load_config
-from .errors import MissingArtifact, QuantRangeError
+from .config import RunConfig, load_config
+from .errors import InvalidSpec, MissingArtifact, QuantRangeError
 from .io_utils import atomic_write_text
 from .models import (
-    LinearSpec,
-    MLPSpec,
+    KINDS,
     QuantileForecast,
     forward,
-    linear_forward,
     load_checkpoint,
-    mlp_forward,
     repair_monotonic,
     save_checkpoint,
     train,
-    train_linear,
-    train_mlp,
 )
 from .synthetic import generate, to_tick_text
+
+train_linear = train    # perfbench/tracing.py still wraps this name
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -46,8 +43,19 @@ def _require(path: str) -> str:
     return path
 
 
+def _indexed_tsv(values) -> str:
+    """One "index<TAB>value" row per value, floats in repr form."""
+    return "\n".join(f"{i}\t{float(v)!r}" for i, v in enumerate(values)) + "\n"
+
+
 def cmd_synth(cfg: RunConfig) -> None:
     prices, _ = generate(cfg.synthetic)
+    bad = np.flatnonzero(prices <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidSpec(f"synthetic path reaches the non-positive price "
+                          f"{float(prices[i])!r} at tick {i}; ingest needs "
+                          "positive prices")
     atomic_write_text(_out(cfg, "ticks.csv"), to_tick_text(prices))
     print(f"wrote {_out(cfg, 'ticks.csv')} ({len(prices)} ticks)")
 
@@ -109,32 +117,10 @@ def _read_bars_tsv(cfg: RunConfig, split: str) -> list[md.Bar]:
 
 
 def _train_model(cfg: RunConfig, kind: str, ds: md.WindowedDataset, seed: int):
-    num_inputs = ds.inputs.shape[1] * ds.inputs.shape[2]
-    if kind == "futurequant":
-        spec = cfg.model
-        config = replace(cfg.train, seed=seed)
-        params, history = train(spec, ds.inputs, ds.targets, config)
-    elif kind == "quantile-linear":
-        spec = LinearSpec(num_inputs=num_inputs, levels=cfg.model.levels)
-        config = replace(cfg.train, seed=seed, learning_rate=0.05,
-                         epochs=max(cfg.train.epochs, 500))
-        params, history = train_linear(spec, ds.inputs, ds.targets, config)
-    elif kind == "quantile-mlp":
-        spec = MLPSpec(num_inputs=num_inputs, hidden=cfg.mlp_hidden,
-                       levels=cfg.model.levels)
-        config = replace(cfg.train, seed=seed)
-        params, history = train_mlp(spec, ds.inputs, ds.targets, config)
-    else:
-        raise MissingArtifact(f"unknown model kind {kind}")
+    spec = cfg.specs[kind]
+    config = KINDS[kind].train_config(replace(cfg.train, seed=seed))
+    params, history = train(spec, ds.inputs, ds.targets, config)
     return spec, params, history
-
-
-def _predict(kind: str, spec, params, inputs: np.ndarray) -> QuantileForecast:
-    if kind == "futurequant":
-        return forward(spec, params, inputs)
-    if kind == "quantile-linear":
-        return linear_forward(spec, params, inputs)
-    return mlp_forward(spec, params, inputs)
 
 
 def _to_price_units(forecast: QuantileForecast,
@@ -150,17 +136,14 @@ def cmd_train(cfg: RunConfig) -> None:
     kind = cfg.model_kind
     spec, params, history = _train_model(cfg, kind, ds, cfg.seed)
     save_checkpoint(_out(cfg, f"model-{kind}.ckpt"), kind, spec, params)
-    atomic_write_text(
-        _out(cfg, f"loss-{kind}.tsv"),
-        "\n".join(f"{i}\t{v!r}" for i, v in enumerate(history)) + "\n",
-    )
+    atomic_write_text(_out(cfg, f"loss-{kind}.tsv"), _indexed_tsv(history))
     print(f"wrote {_out(cfg, f'model-{kind}.ckpt')} "
           f"(final loss {history[-1]:.6g})")
 
 
-def _eval_forecast(cfg: RunConfig, kind: str, spec, params):
+def _eval_forecast(cfg: RunConfig, spec, params):
     ds = md.load_dataset(_require(_out(cfg, "test.wds")))
-    raw = _predict(kind, spec, params, ds.inputs)
+    raw = forward(spec, params, ds.inputs)
     raw_prices = _to_price_units(raw, ds.norm)
     actuals = md.invert_minmax(ds.targets, ds.norm).reshape(-1)
     report = im.evaluate(actuals, raw_prices, cfg.metrics)
@@ -175,16 +158,15 @@ def _write_forecast_table(cfg: RunConfig, kind: str, ds, forecast, actuals):
         else np.arange(len(actuals))
     for t, a, row in zip(times, actuals, forecast.values):
         cells = "\t".join(repr(float(v)) for v in row)
-        lines.append(f"{t!r}\t{a!r}\t{cells}")
+        lines.append(f"{float(t)!r}\t{float(a)!r}\t{cells}")
     atomic_write_text(_out(cfg, f"forecast-{kind}.tsv"),
                       "\n".join(lines) + "\n")
 
 
 def cmd_eval(cfg: RunConfig) -> None:
     kind = cfg.model_kind
-    loaded_kind, spec, params = load_checkpoint(
-        _require(_out(cfg, f"model-{kind}.ckpt")))
-    ds, forecast, actuals, report = _eval_forecast(cfg, loaded_kind, spec, params)
+    _, spec, params = load_checkpoint(_require(_out(cfg, f"model-{kind}.ckpt")))
+    ds, forecast, actuals, report = _eval_forecast(cfg, spec, params)
     atomic_write_text(_out(cfg, f"metrics-{kind}.txt"), report.to_text())
     _write_forecast_table(cfg, kind, ds, forecast, actuals)
     print(report.to_text(), end="")
@@ -192,11 +174,10 @@ def cmd_eval(cfg: RunConfig) -> None:
 
 def cmd_backtest(cfg: RunConfig) -> None:
     kind = cfg.model_kind
-    loaded_kind, spec, params = load_checkpoint(
-        _require(_out(cfg, f"model-{kind}.ckpt")))
+    _, spec, params = load_checkpoint(_require(_out(cfg, f"model-{kind}.ckpt")))
     test_bars = _read_bars_tsv(cfg, "test")
     ds = md.load_dataset(_require(_out(cfg, "test.wds")))
-    raw = _predict(loaded_kind, spec, params, ds.inputs)
+    raw = forward(spec, params, ds.inputs)
     repaired = repair_monotonic(_to_price_units(raw, ds.norm))
 
     aligned = np.full((len(test_bars), repaired.values.shape[1]), np.nan)
@@ -212,14 +193,8 @@ def cmd_backtest(cfg: RunConfig) -> None:
     atomic_write_text(_out(cfg, f"backtest-{kind}.txt"), bt.summary_text(result))
     equity = result.equity_curve.equity
     dd = result.drawdown_stats.drawdown_series
-    atomic_write_text(
-        _out(cfg, f"equity-{kind}.tsv"),
-        "\n".join(f"{i}\t{v!r}" for i, v in enumerate(equity)) + "\n",
-    )
-    atomic_write_text(
-        _out(cfg, f"drawdown-{kind}.tsv"),
-        "\n".join(f"{i}\t{v!r}" for i, v in enumerate(dd)) + "\n",
-    )
+    atomic_write_text(_out(cfg, f"equity-{kind}.tsv"), _indexed_tsv(equity))
+    atomic_write_text(_out(cfg, f"drawdown-{kind}.tsv"), _indexed_tsv(dd))
     atomic_write_text(
         _out(cfg, f"equity-{kind}.svg"),
         svg.polyline_chart({"equity": equity}, title=f"equity ({kind})"),
@@ -230,10 +205,10 @@ def cmd_backtest(cfg: RunConfig) -> None:
 def cmd_compare(cfg: RunConfig) -> None:
     ds = md.load_dataset(_require(_out(cfg, "train.wds")))
     rows = ["Model\tPICP\tCWC"]
-    for index, kind in enumerate(MODEL_KINDS):
+    for index, kind in enumerate(KINDS):
         spec, params, _ = _train_model(cfg, kind, ds, cfg.seed + index)
         save_checkpoint(_out(cfg, f"model-{kind}.ckpt"), kind, spec, params)
-        _, forecast, actuals, report = _eval_forecast(cfg, kind, spec, params)
+        _, forecast, actuals, report = _eval_forecast(cfg, spec, params)
         atomic_write_text(_out(cfg, f"metrics-{kind}.txt"), report.to_text())
         rows.append(im.comparison_row(kind, report))
     atomic_write_text(_out(cfg, "compare.tsv"), "\n".join(rows) + "\n")

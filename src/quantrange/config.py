@@ -7,13 +7,13 @@ fast instead of silently falling back to defaults.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .indicators import IndicatorConfig
 from .interval_metrics import MetricConfig
 from .models.forecast import QuantileLevels
-from .models.network import ModelSpec
+from .models.network import KINDS
 from .models.training import TrainConfig
 from .strategy import StrategyConfig
 from .synthetic import SyntheticSpec
@@ -49,8 +49,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
     "backtest": {"initial_capital": "float", "horizons": "str"},
 }
 
-MODEL_KINDS = ("futurequant", "quantile-linear", "quantile-mlp")
-
 
 def _convert(section: str, key: str, raw: str):
     kind = _SCHEMA[section][key]
@@ -74,6 +72,15 @@ def _convert(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}")
 
 
+def _build(section: str, cls, **kwargs):
+    """cls(**kwargs), with a value the class rejects reported as a
+    ConfigError naming the section."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 @dataclass
 class RunConfig:
     out_dir: str = "out"
@@ -89,8 +96,9 @@ class RunConfig:
     stride: int = 1
     model_kind: str = "futurequant"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
-    model: ModelSpec = field(default_factory=ModelSpec)
-    mlp_hidden: tuple[int, int] = (32, 16)
+    # the spec of every model kind, each built from the [model] keys its
+    # spec class has
+    specs: dict[str, object] = field(default_factory=dict)
     train: TrainConfig = field(default_factory=TrainConfig)
     metrics: MetricConfig = field(default_factory=MetricConfig)
     indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
@@ -134,24 +142,31 @@ def load_config(path: str, seed_override: int | None = None,
     splits = cfg.split_train + cfg.split_val + cfg.split_test
     if abs(splits - 1.0) > 1e-9:
         raise ConfigError(f"split fractions sum to {splits}, expected 1")
+    if cfg.window_out != 1:
+        raise ConfigError("[data] window_out: the models predict one step "
+                          f"ahead, so it must be 1, not {cfg.window_out}")
 
     synth = sec("synthetic")
     cfg.synthetic = SyntheticSpec(seed=cfg.seed, **synth)
 
     model = dict(sec("model"))
     cfg.model_kind = model.pop("kind", cfg.model_kind)
-    if cfg.model_kind not in MODEL_KINDS:
-        raise ConfigError(f"model kind must be one of {MODEL_KINDS}")
-    cfg.mlp_hidden = model.pop("hidden", cfg.mlp_hidden)
-    levels = model.pop("levels", None)
-    if levels is not None:
-        model["levels"] = QuantileLevels(levels)
-    cfg.model = ModelSpec(window_in=cfg.window_in, num_features=1, **model)
+    if cfg.model_kind not in KINDS:
+        raise ConfigError(f"model kind must be one of {tuple(KINDS)}")
+    if "levels" in model:
+        model["levels"] = _build("model", QuantileLevels, levels=model["levels"])
+    # one feature (the close) per bar
+    model.update(window_in=cfg.window_in, num_features=1,
+                 num_inputs=cfg.window_in)
+    for kind, entry in KINDS.items():
+        names = {f.name for f in fields(entry.spec_class)}
+        cfg.specs[kind] = _build("model", entry.spec_class, **{
+            k: v for k, v in model.items() if k in names})
 
-    cfg.train = TrainConfig(seed=cfg.seed, **sec("train"))
-    cfg.metrics = MetricConfig(**sec("metrics"))
-    cfg.indicators = IndicatorConfig(**sec("indicators"))
-    cfg.strategy = StrategyConfig(**sec("strategy"))
+    cfg.train = _build("train", TrainConfig, seed=cfg.seed, **sec("train"))
+    cfg.metrics = _build("metrics", MetricConfig, **sec("metrics"))
+    cfg.indicators = _build("indicators", IndicatorConfig, **sec("indicators"))
+    cfg.strategy = _build("strategy", StrategyConfig, **sec("strategy"))
 
     bt = sec("backtest")
     cfg.initial_capital = bt.get("initial_capital", cfg.initial_capital)

@@ -55,37 +55,28 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(
-        [(pi.lower, pi.upper) if hasattr(pi, "lower") else tuple(pi)
-         for pi in intervals],
-        dtype=float,
-    )
-    if arr.size == 0:
-        return np.empty(0), np.empty(0)
-    return arr[:, 0], arr[:, 1]
+def _checked(actuals, intervals, metric: str):
+    """(actuals, lower, upper) arrays from N actuals and N (lower, upper)
+    pairs."""
+    y = np.asarray(actuals, dtype=float)
+    bounds = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    if y.size == 0:
+        raise EmptyInput(f"{metric} needs at least one sample")
+    if y.size != len(bounds):
+        raise LengthMismatch(f"{y.size} actuals vs {len(bounds)} intervals")
+    return y, bounds[:, 0], bounds[:, 1]
 
 
 def picp(actuals, intervals) -> float:
     """Fraction of actuals inside their closed intervals [L, U]."""
-    y = np.asarray(actuals, dtype=float)
-    lower, upper = _bounds(intervals)
-    if y.size == 0:
-        raise EmptyInput("picp needs at least one sample")
-    if y.size != lower.size:
-        raise LengthMismatch(f"{y.size} actuals vs {lower.size} intervals")
+    y, lower, upper = _checked(actuals, intervals, "picp")
     covered = (lower <= y) & (y <= upper)
     return float(covered.mean())
 
 
 def pinaw(actuals, intervals) -> float:
     """Mean interval width normalized by the evaluated actuals' range."""
-    y = np.asarray(actuals, dtype=float)
-    lower, upper = _bounds(intervals)
-    if y.size == 0:
-        raise EmptyInput("pinaw needs at least one sample")
-    if y.size != lower.size:
-        raise LengthMismatch(f"{y.size} actuals vs {lower.size} intervals")
+    y, lower, upper = _checked(actuals, intervals, "pinaw")
     delta_y = float(y.max() - y.min())
     if delta_y <= 0.0:
         raise ZeroRange("actuals have zero range; PINAW undefined")

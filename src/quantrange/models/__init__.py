@@ -1,18 +1,18 @@
 from .forecast import (
     DEFAULT_LEVELS,
-    PredictionInterval,
     QuantileForecast,
     QuantileLevels,
     interval_bounds,
-    predict_intervals,
     repair_monotonic,
 )
 from .losses import mean_pinball, pinball_loss
-from .layers import global_average_pool, layer_norm, multi_head_attention
 from .network import (
+    KINDS,
+    LinearSpec,
+    MLPSpec,
+    ModelKind,
     ModelSpec,
     ParameterSet,
-    conv_feedforward,
     encoder_block,
     forward,
     init_params,
@@ -21,27 +21,15 @@ from .network import (
 )
 from .training import TrainConfig, train
 from .gradcheck import GradCheckResult, gradient_check
-from .baselines import (
-    LinearSpec,
-    MLPSpec,
-    linear_forward,
-    linear_init,
-    mlp_forward,
-    mlp_init,
-    train_linear,
-    train_mlp,
-)
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "DEFAULT_LEVELS", "PredictionInterval", "QuantileForecast", "QuantileLevels",
-    "interval_bounds", "predict_intervals", "repair_monotonic",
+    "DEFAULT_LEVELS", "QuantileForecast", "QuantileLevels",
+    "interval_bounds", "repair_monotonic",
     "mean_pinball", "pinball_loss",
-    "global_average_pool", "layer_norm", "multi_head_attention",
-    "ModelSpec", "ParameterSet", "conv_feedforward", "encoder_block",
-    "forward", "init_params", "loss_and_grads", "zero_params",
+    "KINDS", "LinearSpec", "MLPSpec", "ModelKind", "ModelSpec",
+    "ParameterSet", "encoder_block", "forward", "init_params",
+    "loss_and_grads", "zero_params",
     "TrainConfig", "train", "GradCheckResult", "gradient_check",
-    "LinearSpec", "MLPSpec", "linear_forward", "linear_init",
-    "mlp_forward", "mlp_init", "train_linear", "train_mlp",
     "load_checkpoint", "save_checkpoint",
 ]

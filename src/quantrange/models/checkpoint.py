@@ -10,14 +10,10 @@ import numpy as np
 
 from ..errors import MissingArtifact
 from ..io_utils import atomic_write_bytes
-from .baselines import LinearSpec, MLPSpec
 from .forecast import QuantileLevels
-from .network import ModelSpec, ParameterSet
+from .network import KINDS, ParameterSet
 
 _MAGIC = b"QRCKPTv1"
-
-_KINDS = {"futurequant": ModelSpec, "quantile-linear": LinearSpec,
-          "quantile-mlp": MLPSpec}
 
 
 def _spec_to_lines(kind: str, spec) -> list[str]:
@@ -37,7 +33,7 @@ def _spec_from_lines(lines: list[str]):
         key, _, value = line.partition(" = ")
         kv[key] = value
     kind = kv.pop("kind")
-    cls = _KINDS[kind]
+    cls = KINDS[kind].spec_class
     kwargs = {}
     for key, value in kv.items():
         if key == "levels":
@@ -52,7 +48,7 @@ def _spec_from_lines(lines: list[str]):
 
 
 def save_checkpoint(path: str, kind: str, spec, params: ParameterSet) -> None:
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     buf = io.BytesIO()
     buf.write(_MAGIC)

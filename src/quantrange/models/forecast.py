@@ -49,17 +49,6 @@ class QuantileForecast:
             )
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
-    lower: float
-    upper: float
-    beta: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError("interval lower bound exceeds upper bound")
-
-
 def repair_monotonic(forecast: QuantileForecast) -> QuantileForecast:
     """Sort each sample's quantile values ascending. Idempotent; rows that
     are already monotone come back bit-identical."""
@@ -67,24 +56,11 @@ def repair_monotonic(forecast: QuantileForecast) -> QuantileForecast:
                             levels=forecast.levels)
 
 
-def predict_intervals(
-    forecast: QuantileForecast, beta: float = 0.1
-) -> list[PredictionInterval]:
-    """Central (1 - beta) intervals from the beta/2 and 1 - beta/2 levels,
-    after monotonic repair."""
-    lo = forecast.levels.index_of(beta / 2.0)
-    hi = forecast.levels.index_of(1.0 - beta / 2.0)
-    repaired = repair_monotonic(forecast)
-    return [
-        PredictionInterval(lower=row[lo], upper=row[hi], beta=beta)
-        for row in repaired.values
-    ]
-
-
 def interval_bounds(
     forecast: QuantileForecast, beta: float = 0.1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized variant of predict_intervals: (lower, upper) arrays."""
+    """Central (1 - beta) intervals from the beta/2 and 1 - beta/2 levels,
+    after monotonic repair, as (lower, upper) arrays."""
     lo = forecast.levels.index_of(beta / 2.0)
     hi = forecast.levels.index_of(1.0 - beta / 2.0)
     repaired = repair_monotonic(forecast)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ModelSpec, ParameterSet, loss_and_grads, loss_value
+from .network import ParameterSet, loss_and_grads, loss_value
 
 
 @dataclass
@@ -21,12 +21,9 @@ class GradCheckResult:
     checked: int
     skipped_kinks: int
 
-    def __float__(self) -> float:
-        return self.max_rel_error
-
 
 def gradient_check(
-    spec: ModelSpec,
+    spec,
     params: ParameterSet,
     x: np.ndarray,
     y: np.ndarray,

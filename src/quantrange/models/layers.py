@@ -7,6 +7,8 @@ parameters. Everything runs in float64 for deterministic, checkable math.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import DimensionMismatch
@@ -14,15 +16,8 @@ from ..errors import DimensionMismatch
 
 # --- layer normalization (over the last axis) ---
 
-def layer_norm(x, gamma, shift, epsilon: float = 1e-5):
-    """((x - mu) / sqrt(var + eps)) * gamma + shift, per trailing vector."""
-    y, _ = layer_norm_forward(np.asarray(x, dtype=float),
-                              np.asarray(gamma, dtype=float),
-                              np.asarray(shift, dtype=float), epsilon)
-    return y
-
-
 def layer_norm_forward(x, gamma, shift, epsilon: float = 1e-5):
+    """((x - mu) / sqrt(var + eps)) * gamma + shift, per trailing vector."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + epsilon)
@@ -49,12 +44,14 @@ def linear_forward(x, w, b):
     return x @ w + b, (x, w)
 
 
-def linear_backward(cache, dy):
+def linear_backward(cache, dy, input_grad: bool = True):
+    """dx is None when input_grad is false, as for a layer fed by data."""
     x, w = cache
     din, dout = w.shape
-    dw = x.reshape(-1, din).T @ dy.reshape(-1, dout)
+    # an explicit row count, since -1 is ambiguous when din is 0
+    dw = x.reshape(math.prod(x.shape[:-1]), din).T @ dy.reshape(-1, dout)
     db = dy.reshape(-1, dout).sum(axis=0)
-    dx = dy @ w.T
+    dx = dy @ w.T if input_grad else None
     return dx, dw, db
 
 
@@ -89,14 +86,9 @@ def merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(n, t, h * dk)
 
 
-def multi_head_attention(x, wq, wk, wv, wo, num_heads: int):
+def mha_forward(x, wq, wk, wv, wo, num_heads: int):
     """softmax(Q K^T / sqrt(d_k)) V per head, heads concatenated then
     projected by wo. x: (N, T, d) with d divisible by num_heads."""
-    y, _ = mha_forward(np.asarray(x, dtype=float), wq, wk, wv, wo, num_heads)
-    return y
-
-
-def mha_forward(x, wq, wk, wv, wo, num_heads: int):
     n, t, d = x.shape
     if d % num_heads != 0:
         raise DimensionMismatch(
@@ -176,13 +168,8 @@ def conv1d_backward(cache, dy):
 
 # --- global average pooling over the time axis ---
 
-def global_average_pool(x):
-    """(T, d) -> (d,) or (N, T, d) -> (N, d): arithmetic mean over time."""
-    x = np.asarray(x, dtype=float)
-    return x.mean(axis=-2)
-
-
 def gap_forward(x):
+    """(N, T, d) -> (N, d): arithmetic mean over time."""
     return x.mean(axis=1), (x.shape[1],)
 
 

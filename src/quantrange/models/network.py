@@ -1,14 +1,23 @@
-"""Attention-encoder quantile network: spec, parameters, forward, backward.
+"""Quantile models: the table of model kinds, their specs and parameters,
+and the forward and backward passes.
 
-The stack per sample: input projection to the model width, num_blocks
-encoder blocks (pre-norm attention and a convolutional feed-forward, both
-with residual connections), global average pooling over time, two dense
-ReLU layers, and a linear head emitting one value per quantile level.
+Every kind ends in the same dense head (dense layers with a ReLU after
+each but the last, which emits one value per quantile level), and all
+minimize the same mean pinball objective:
+
+- futurequant: an input projection to the model width, num_blocks encoder
+  blocks (pre-norm attention and a convolutional feed-forward, both with
+  residual connections), global average pooling over time, then a head
+  with two hidden layers;
+- quantile-mlp: a head with two hidden layers on the flattened window;
+- quantile-linear: a head with no hidden layer, that is one linear
+  predictor per level on the flattened window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -16,6 +25,11 @@ from ..errors import NonFiniteLoss, ShapeMismatch
 from . import layers as L
 from .forecast import QuantileForecast, QuantileLevels
 from .losses import LOSSES
+
+
+def _check_widths(name: str, widths: tuple[int, ...]) -> None:
+    if len(widths) != 2 or min(widths) < 1:
+        raise ValueError(f"{name} must be two positive layer widths")
 
 
 @dataclass(frozen=True)
@@ -32,6 +46,10 @@ class ModelSpec:
     levels: QuantileLevels = field(default_factory=QuantileLevels)
     ln_epsilon: float = 1e-5
 
+    # (weight, bias) parameter names of the dense head, input side first
+    head = (("dense1_w", "dense1_b"), ("dense2_w", "dense2_b"),
+            ("out_w", "out_b"))
+
     def __post_init__(self):
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
@@ -41,14 +59,43 @@ class ModelSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
+        _check_widths("dense_units", self.dense_units)
 
     @property
     def model_dim(self) -> int:
         return self.num_heads * self.key_dim
 
     @property
-    def num_levels(self) -> int:
-        return len(self.levels)
+    def head_widths(self) -> tuple[int, ...]:
+        return (self.model_dim, *self.dense_units, len(self.levels))
+
+
+@dataclass(frozen=True)
+class LinearSpec:
+    num_inputs: int                       # flattened window size; 0 = intercept only
+    levels: QuantileLevels = field(default_factory=QuantileLevels)
+
+    head = (("w", "b"),)
+
+    @property
+    def head_widths(self) -> tuple[int, ...]:
+        return (self.num_inputs, len(self.levels))
+
+
+@dataclass(frozen=True)
+class MLPSpec:
+    num_inputs: int
+    hidden: tuple[int, int] = (32, 16)
+    levels: QuantileLevels = field(default_factory=QuantileLevels)
+
+    head = (("w1", "b1"), ("w2", "b2"), ("w3", "b3"))
+
+    def __post_init__(self):
+        _check_widths("hidden", self.hidden)
+
+    @property
+    def head_widths(self) -> tuple[int, ...]:
+        return (self.num_inputs, *self.hidden, len(self.levels))
 
 
 @dataclass
@@ -61,12 +108,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
-    def names(self) -> list[str]:
-        return list(self.arrays)
-
-    def num_values(self) -> int:
-        return sum(v.size for v in self.arrays.values())
-
     def all_finite(self) -> bool:
         return all(np.isfinite(v).all() for v in self.arrays.values())
 
@@ -77,10 +118,70 @@ def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def parameter_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+# --- the dense head, shared by every kind ---
+
+def _head_shapes(spec) -> dict[str, tuple[int, ...]]:
+    shapes: dict[str, tuple[int, ...]] = {}
+    widths = spec.head_widths
+    for (w, b), fan_in, fan_out in zip(spec.head, widths, widths[1:]):
+        shapes[w] = (fan_in, fan_out)
+        shapes[b] = (fan_out,)
+    return shapes
+
+
+def _head_forward(head, params, x, signature):
+    """Returns (outputs, caches); appends each ReLU mask to signature."""
+    caches = []
+    for i, (w, b) in enumerate(head):
+        x, cache = L.linear_forward(x, params[w], params[b])
+        mask = None
+        if i < len(head) - 1:
+            x, mask = L.relu_forward(x)
+            signature.append(mask)
+        caches.append((cache, mask))
+    return x, caches
+
+
+def _head_backward(head, caches, dout, grads, input_grad: bool):
+    """Writes the head's gradients into grads and returns the gradient of
+    its input, or None when input_grad is false."""
+    dy = dout
+    for i in reversed(range(len(head))):
+        w, b = head[i]
+        cache, mask = caches[i]
+        if mask is not None:
+            dy = L.relu_backward(mask, dy)
+        dy, grads[w], grads[b] = L.linear_backward(cache, dy,
+                                                   input_grad or i > 0)
+    return dy
+
+
+def _dense_forward(spec, params, x, mode, rng):
+    """The head alone, on (N, P) inputs or (N, T, F) windows flattened."""
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    if x.ndim == 3:
+        x = x.reshape(shape[0], shape[1] * shape[2])
+    if x.ndim != 2 or x.shape[1] != spec.num_inputs:
+        raise ShapeMismatch(
+            f"expected {spec.num_inputs} input values per sample, "
+            f"got input {shape}")
+    signature: list[np.ndarray] = []
+    out, caches = _head_forward(spec.head, params, x, signature)
+    return out, caches, signature
+
+
+def _dense_backward(spec, caches, dout) -> dict:
+    grads: dict[str, np.ndarray] = {}
+    _head_backward(spec.head, caches, dout, grads, input_grad=False)
+    return grads
+
+
+# --- the attention encoder ---
+
+def _encoder_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     d = spec.model_dim
     cc, k = spec.conv_channels, spec.conv_kernel
-    u1, u2 = spec.dense_units
     shapes: dict[str, tuple[int, ...]] = {
         "input_w": (spec.num_features, d),
         "input_b": (d,),
@@ -99,41 +200,8 @@ def parameter_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
         shapes[p + "conv1_b"] = (cc,)
         shapes[p + "conv2_w"] = (1, cc, d)
         shapes[p + "conv2_b"] = (d,)
-    shapes["dense1_w"] = (d, u1)
-    shapes["dense1_b"] = (u1,)
-    shapes["dense2_w"] = (u1, u2)
-    shapes["dense2_b"] = (u2,)
-    shapes["out_w"] = (u2, spec.num_levels)
-    shapes["out_b"] = (spec.num_levels,)
+    shapes.update(_head_shapes(spec))
     return shapes
-
-
-def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParameterSet:
-    """Glorot-uniform weights, zero biases, unit layer-norm gains."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(spec).items():
-        if name.endswith(("_b", "ln1_b", "ln2_b")):
-            arrays[name] = np.zeros(shape)
-        elif name.endswith(("ln1_g", "ln2_g")):
-            arrays[name] = np.ones(shape)
-        else:
-            arrays[name] = _glorot(rng, shape)
-    return ParameterSet(arrays)
-
-
-def zero_params(spec: ModelSpec) -> ParameterSet:
-    return ParameterSet(
-        {name: np.zeros(shape) for name, shape in parameter_shapes(spec).items()}
-    )
-
-
-def conv_feedforward(x, kernel1, bias1, kernel2, bias2):
-    """ReLU(conv_k(x)) followed by a width-1 conv restoring the channel
-    count; x: (N, T, d)."""
-    h, _ = L.conv1d_forward(np.asarray(x, dtype=float), kernel1, bias1)
-    h, _ = L.relu_forward(h)
-    y, _ = L.conv1d_forward(h, kernel2, bias2)
-    return y
 
 
 def _block_forward(x, p, prefix, spec, mode, rng, signature):
@@ -195,16 +263,7 @@ def encoder_block(
     return y[0] if squeeze else y
 
 
-def forward_raw(
-    spec: ModelSpec,
-    params: ParameterSet,
-    x: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-):
-    """Full forward pass. Returns (outputs (N, Q), caches, signature) where
-    the signature lists the boolean activation patterns of every ReLU (used
-    by the gradient checker to detect kink crossings)."""
+def _encoder_forward(spec: ModelSpec, params, x, mode, rng):
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != spec.window_in or x.shape[2] != spec.num_features:
         raise ShapeMismatch(
@@ -223,40 +282,105 @@ def forward_raw(
     caches["blocks"] = block_caches
 
     pooled, caches["gap"] = L.gap_forward(h)
-    z1, caches["dense1"] = L.linear_forward(pooled, p["dense1_w"], p["dense1_b"])
-    z1r, m1 = L.relu_forward(z1)
-    signature.append(m1)
-    caches["relu1"] = m1
-    z2, caches["dense2"] = L.linear_forward(z1r, p["dense2_w"], p["dense2_b"])
-    z2r, m2 = L.relu_forward(z2)
-    signature.append(m2)
-    caches["relu2"] = m2
-    out, caches["out"] = L.linear_forward(z2r, p["out_w"], p["out_b"])
+    out, caches["head"] = _head_forward(spec.head, p, pooled, signature)
     return out, caches, signature
 
 
-def backward_raw(spec: ModelSpec, caches: dict, dout: np.ndarray) -> dict:
+def _encoder_backward(spec: ModelSpec, caches: dict, dout: np.ndarray) -> dict:
     grads: dict[str, np.ndarray] = {}
-    dz2r, grads["out_w"], grads["out_b"] = L.linear_backward(caches["out"], dout)
-    dz2 = L.relu_backward(caches["relu2"], dz2r)
-    dz1r, grads["dense2_w"], grads["dense2_b"] = L.linear_backward(caches["dense2"], dz2)
-    dz1 = L.relu_backward(caches["relu1"], dz1r)
-    dpooled, grads["dense1_w"], grads["dense1_b"] = L.linear_backward(caches["dense1"], dz1)
+    dpooled = _head_backward(spec.head, caches["head"], dout, grads,
+                             input_grad=True)
     dh = L.gap_backward(caches["gap"], dpooled)
     for i in reversed(range(spec.num_blocks)):
         dh = _block_backward(dh, caches["blocks"][i], f"block{i}_", grads)
-    _, grads["input_w"], grads["input_b"] = L.linear_backward(caches["input"], dh)
+    _, grads["input_w"], grads["input_b"] = L.linear_backward(
+        caches["input"], dh, input_grad=False)
     return grads
 
 
+# --- the table of model kinds ---
+
+@dataclass(frozen=True)
+class ModelKind:
+    """A model kind: its spec class, the parameter shapes of a spec, the
+    forward pass (spec, params, x, mode, rng) -> (outputs (N, Q), caches,
+    ReLU masks), the backward pass (spec, caches, dout) -> grads, and the
+    training settings the kind imposes on a TrainConfig."""
+
+    spec_class: type
+    parameter_shapes: Callable
+    forward_raw: Callable
+    backward_raw: Callable
+    train_config: Callable = lambda config: config
+
+
+def _linear_training(config):
+    """Full-batch steps of lr/sqrt(1 + t) at lr 0.05 for at least 500
+    epochs, the subgradient schedule the linear fit converges under."""
+    return replace(config, learning_rate=0.05, epochs=max(config.epochs, 500),
+                   batch_size=None, lr_schedule="inverse-sqrt")
+
+
+KINDS = {
+    "futurequant": ModelKind(ModelSpec, _encoder_shapes, _encoder_forward,
+                             _encoder_backward),
+    "quantile-linear": ModelKind(LinearSpec, _head_shapes, _dense_forward,
+                                 _dense_backward, _linear_training),
+    "quantile-mlp": ModelKind(MLPSpec, _head_shapes, _dense_forward,
+                              _dense_backward),
+}
+
+_BY_SPEC = {kind.spec_class: kind for kind in KINDS.values()}
+
+
+def parameter_shapes(spec) -> dict[str, tuple[int, ...]]:
+    return _BY_SPEC[type(spec)].parameter_shapes(spec)
+
+
+def init_params(spec, rng: np.random.Generator) -> ParameterSet:
+    """Glorot-uniform weights, zero biases, unit layer-norm gains."""
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(spec).items():
+        if name.endswith("_g"):
+            arrays[name] = np.ones(shape)
+        elif len(shape) == 1:
+            arrays[name] = np.zeros(shape)
+        else:
+            arrays[name] = _glorot(rng, shape)
+    return ParameterSet(arrays)
+
+
+def zero_params(spec) -> ParameterSet:
+    return ParameterSet(
+        {name: np.zeros(shape) for name, shape in parameter_shapes(spec).items()}
+    )
+
+
+def forward_raw(
+    spec,
+    params: ParameterSet,
+    x: np.ndarray,
+    mode: str = "eval",
+    rng: np.random.Generator | None = None,
+):
+    """Full forward pass of any kind. Returns (outputs (N, Q), caches,
+    signature) where the signature lists the boolean activation patterns
+    of every ReLU (used by the gradient checker to detect kink crossings)."""
+    return _BY_SPEC[type(spec)].forward_raw(spec, params, x, mode, rng)
+
+
+def backward_raw(spec, caches, dout: np.ndarray) -> dict:
+    return _BY_SPEC[type(spec)].backward_raw(spec, caches, dout)
+
+
 def forward(
-    spec: ModelSpec,
+    spec,
     params: ParameterSet,
     x: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> QuantileForecast:
-    """Predict quantile values (normalized units) for a (N, T, F) batch."""
+    """Predict quantile values (normalized units) for a batch of windows."""
     out, _, _ = forward_raw(spec, params, x, mode, rng)
     return QuantileForecast(values=out, levels=spec.levels)
 
@@ -268,7 +392,7 @@ def _pack_signature(signature, residual_signs) -> bytes:
 
 
 def loss_value(
-    spec: ModelSpec,
+    spec,
     params: ParameterSet,
     x: np.ndarray,
     y: np.ndarray,
@@ -283,7 +407,7 @@ def loss_value(
 
 
 def loss_and_grads(
-    spec: ModelSpec,
+    spec,
     params: ParameterSet,
     x: np.ndarray,
     y: np.ndarray,

@@ -1,4 +1,4 @@
-"""Mini-batch training of the quantile network with pluggable optimizers.
+"""Training of any model kind with pluggable optimizers.
 
 Runs are deterministic for a given (spec, dataset, seed): fixed init,
 fixed shuffle order, serial batch reduction, float64 throughout.
@@ -11,21 +11,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonFiniteLoss
-from .network import ModelSpec, ParameterSet, init_params, loss_and_grads, loss_value
+from .network import ParameterSet, init_params, loss_and_grads, loss_value
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+LR_SCHEDULES = ("exponential", "inverse-sqrt")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 200
-    batch_size: int = 32
+    batch_size: int | None = 32    # None: one full batch per epoch, in order
     seed: int = 0
     optimizer: str = "adam"        # "sgd" | "momentum" | "adam"
-    lr_decay: float = 1.0          # multiplicative per-epoch decay
+    # step size in epoch e: "exponential" lr * lr_decay**e,
+    # "inverse-sqrt" lr / sqrt(1 + e)
+    lr_schedule: str = "exponential"
+    lr_decay: float = 1.0
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     gradient_clip: float | None = None
 
     def __post_init__(self):
@@ -33,8 +39,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("sgd", "momentum", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.lr_schedule not in LR_SCHEDULES:
+            raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}")
 
 
 class Optimizer:
@@ -66,25 +76,27 @@ class Optimizer:
                 st["m"] = cfg.momentum * st["m"] + g
                 a -= self.lr * st["m"]
             else:  # adam
-                st["m"] = cfg.adam_beta1 * st["m"] + (1 - cfg.adam_beta1) * g
-                st["v"] = cfg.adam_beta2 * st["v"] + (1 - cfg.adam_beta2) * g * g
-                mhat = st["m"] / (1 - cfg.adam_beta1 ** self.t)
-                vhat = st["v"] / (1 - cfg.adam_beta2 ** self.t)
-                a -= self.lr * mhat / (np.sqrt(vhat) + cfg.adam_epsilon)
+                st["m"] = ADAM_BETA1 * st["m"] + (1 - ADAM_BETA1) * g
+                st["v"] = ADAM_BETA2 * st["v"] + (1 - ADAM_BETA2) * g * g
+                mhat = st["m"] / (1 - ADAM_BETA1 ** self.t)
+                vhat = st["v"] / (1 - ADAM_BETA2 ** self.t)
+                a -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
 
 
 def train(
-    spec: ModelSpec,
+    spec,
     inputs: np.ndarray,
     targets: np.ndarray,
     config: TrainConfig,
     initial_params: ParameterSet | None = None,
 ) -> tuple[ParameterSet, list[float]]:
-    """Minimize the mean pinball loss over all quantile levels.
+    """Minimize the mean pinball loss over all quantile levels, for a spec
+    of any kind.
 
-    inputs: (N, T, F); targets: (N,) or (N, 1). Returns the trained
-    parameters and the per-epoch full-dataset (eval-mode) training loss,
-    with the pre-training loss as entry 0.
+    inputs: (N, T, F), or (N, P) for the linear and MLP kinds; targets:
+    (N,) or (N, 1). Returns the trained parameters and the loss curve:
+    entry 0 is the full-set eval-mode loss at initialisation, entry e the
+    mean of epoch e's mini-batch losses.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float).reshape(-1)
@@ -101,20 +113,26 @@ def train(
     history: list[float] = []
     initial, _ = loss_value(spec, params, inputs, targets)
     history.append(initial)
-    for _epoch in range(config.epochs):
-        opt.lr = config.learning_rate * config.lr_decay ** _epoch
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            _, grads = loss_and_grads(
+    for epoch in range(config.epochs):
+        if config.lr_schedule == "inverse-sqrt":
+            opt.lr = config.learning_rate / np.sqrt(1.0 + epoch)
+        else:
+            opt.lr = config.learning_rate * config.lr_decay ** epoch
+        if config.batch_size is None:
+            batches = [slice(None)]     # a view: no copy of the data
+        else:
+            order = rng.permutation(n)
+            batches = [order[start:start + config.batch_size]
+                       for start in range(0, n, config.batch_size)]
+        losses = []
+        for idx in batches:
+            value, grads = loss_and_grads(
                 spec, params, inputs[idx], targets[idx],
                 mode="train", rng=dropout_rng,
             )
             opt.step(params, grads)
-        epoch_loss, _ = loss_value(spec, params, inputs, targets)
-        if not np.isfinite(epoch_loss) or not params.all_finite():
-            raise NonFiniteLoss(
-                f"training diverged at epoch {_epoch} (loss {epoch_loss})"
-            )
-        history.append(epoch_loss)
+            losses.append(value)
+        if not params.all_finite():
+            raise NonFiniteLoss(f"training diverged at epoch {epoch}")
+        history.append(sum(losses) / len(losses))
     return params, history

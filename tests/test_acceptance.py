@@ -30,7 +30,6 @@ from quantrange.models import (
     init_params,
     repair_monotonic,
     train,
-    train_linear,
     zero_params,
 )
 from quantrange.models.layers import softmax
@@ -94,9 +93,10 @@ def test_c04_pinball_optimum_oracle():
     y = rng.normal(0.0, 10.0, 1000)
     levels = (0.1, 0.5, 0.9)
     spec = LinearSpec(num_inputs=0, levels=QuantileLevels(levels))
-    params, _ = train_linear(
+    params, _ = train(
         spec, np.zeros((1000, 0)), y,
-        TrainConfig(learning_rate=2.0, epochs=6000, seed=0),
+        TrainConfig(learning_rate=2.0, epochs=6000, seed=0, batch_size=None,
+                    lr_schedule="inverse-sqrt"),
     )
     sorted_y = np.sort(y)
     gaps = np.diff(sorted_y)

@@ -8,7 +8,6 @@ from quantrange.models import (
     QuantileLevels,
     init_params,
 )
-from quantrange.models.baselines import linear_init
 from quantrange.models.checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -28,7 +27,7 @@ def test_network_round_trip_bit_exact(tmp_path):
 
 def test_linear_round_trip(tmp_path):
     spec = LinearSpec(num_inputs=5, levels=QuantileLevels((0.1, 0.5, 0.9)))
-    params = linear_init(spec, np.random.default_rng(1))
+    params = init_params(spec, np.random.default_rng(1))
     path = str(tmp_path / "lin.ckpt")
     save_checkpoint(path, "quantile-linear", spec, params)
     kind, back_spec, back = load_checkpoint(path)

@@ -1,11 +1,16 @@
+import glob
 import os
-import shutil
 
+import numpy as np
 import pytest
 
+from quantrange import synthetic
 from quantrange.cli import main
 from quantrange.config import load_config
 from quantrange.errors import ConfigError
+from quantrange.models import KINDS
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 SMALL_CONFIG = """\
 [run]
@@ -48,7 +53,7 @@ class TestConfigLoading:
         cfg = load_config(write_config(tmp_path))
         assert cfg.seed == 11
         assert cfg.synthetic.seed == 11
-        assert cfg.model.window_in == 5
+        assert cfg.specs["futurequant"].window_in == 5
         assert cfg.horizons == {"day": 10}
 
     def test_unknown_section(self, tmp_path):
@@ -71,6 +76,38 @@ class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.ini"))
+
+    @pytest.mark.parametrize("section, text", [
+        ("indicators", "[indicators]\natr_low = 0.0\n"),
+        ("train", "[train]\noptimizer = bogus\n"),
+        ("train", "[train]\nbatch_size = 0\n"),
+        ("model", "[model]\nnum_blocks = 0\n"),
+        ("model", "[model]\nhidden = 8\n"),
+        ("data", "[data]\nwindow_out = 2\n"),
+    ])
+    def test_rejected_value_exits_cleanly(self, tmp_path, capsys, section,
+                                          text):
+        code = main(["synth", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and f"[{section}]" in err
+        assert "Traceback" not in err
+
+    def test_readme_example_loads(self, tmp_path):
+        with open(README, encoding="utf-8") as fh:
+            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        # the comments list every kind there is
+        assert "; " + " | ".join(synthetic.KINDS) + "\n" in block
+        assert "; " + " | ".join(KINDS) + "\n" in block
+        config = write_config(tmp_path, block)
+        cfg = load_config(config)
+        assert cfg.synthetic.kind == "gaussian-ar1"
+        assert cfg.model_kind == "futurequant"
+        assert cfg.source == "synthetic"
+        assert cfg.metrics.cwc_variant == "as-printed"
+        out = str(tmp_path / "out")
+        assert main(["synth", "--config", config, "--out", out]) == 0
 
     def test_overrides(self, tmp_path):
         cfg = load_config(write_config(tmp_path), seed_override=99,
@@ -104,6 +141,61 @@ class TestPipeline:
     def test_missing_config_is_exit_code_one(self, tmp_path, capsys):
         code = main(["synth", "--config", str(tmp_path / "nope.ini")])
         assert code == 1
+
+    def test_synth_refuses_non_positive_prices(self, tmp_path, capsys):
+        # the heteroscedastic path of criterion c05 falls to about -174
+        text = ("[run]\nseed = 7\n\n[synthetic]\n"
+                "kind = heteroscedastic-ar1\nlength = 5000\n")
+        prices, _ = synthetic.generate(synthetic.SyntheticSpec(
+            kind="heteroscedastic-ar1", length=5000, seed=7))
+        first = int(np.flatnonzero(prices <= 0.0)[0])
+        out = tmp_path / "out"
+        code = main(["synth", "--config", write_config(tmp_path, text),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{float(prices[first])!r} at tick {first}" in err
+        assert not (out / "ticks.csv").exists()
+
+    # the linear kind's table entry fixes its learning rate, so only the
+    # other two kinds can be made to diverge from the config
+    @pytest.mark.parametrize("kind", ["futurequant", "quantile-mlp"])
+    def test_diverging_train_exits_cleanly(self, tmp_path, capsys, kind):
+        text = SMALL_CONFIG.replace("kind = futurequant", f"kind = {kind}") \
+            .replace("learning_rate = 0.002", "learning_rate = 1e308")
+        config = write_config(tmp_path, text)
+        out = str(tmp_path / "out")
+        for command in ("synth", "ingest"):
+            assert main([command, "--config", config, "--out", out]) == 0
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", config, "--out", out])
+        assert code == 1
+        assert "diverged" in capsys.readouterr().err
+
+    def test_every_tsv_cell_is_a_plain_float(self, tmp_path):
+        config = write_config(tmp_path, SMALL_CONFIG.replace(
+            "kind = futurequant", "kind = quantile-linear"))
+        out = str(tmp_path / "out")
+        for command in ("synth", "ingest", "compare", "train", "eval",
+                        "backtest"):
+            assert main([command, "--config", config, "--out", out]) == 0
+        paths = sorted(glob.glob(os.path.join(out, "*.tsv")))
+        names = [os.path.basename(p) for p in paths]
+        assert names == ["bars.tsv", "compare.tsv",
+                         "drawdown-quantile-linear.tsv",
+                         "equity-quantile-linear.tsv",
+                         "forecast-quantile-linear.tsv",
+                         "loss-quantile-linear.tsv"]
+        # files with a header row, and their text columns
+        headed = {"bars.tsv": {6}, "compare.tsv": {0},
+                  "forecast-quantile-linear.tsv": set()}
+        for path, name in zip(paths, names):
+            with open(path, encoding="utf-8") as fh:
+                rows = [line.rstrip("\n").split("\t") for line in fh]
+            for row in rows[1:] if name in headed else rows:
+                for column, cell in enumerate(row):
+                    if column not in headed.get(name, ()):
+                        float(cell)
 
     def test_artifacts_deterministic(self, tmp_path):
         config = write_config(tmp_path)

@@ -5,8 +5,8 @@ from quantrange.errors import MissingLevel
 from quantrange.models import (
     QuantileForecast,
     QuantileLevels,
+    interval_bounds,
     pinball_loss,
-    predict_intervals,
     repair_monotonic,
 )
 
@@ -72,22 +72,22 @@ class TestPredictIntervals:
     def test_default_beta_uses_outer_levels(self):
         f = QuantileForecast(np.array([[9.0, 9.5, 10.0, 10.5, 11.0]]),
                              QuantileLevels())
-        (pi,) = predict_intervals(f, beta=0.1)
-        assert (pi.lower, pi.upper) == (9.0, 11.0)
+        (lower,), (upper,) = interval_bounds(f, beta=0.1)
+        assert (lower, upper) == (9.0, 11.0)
 
     def test_beta_02_uses_inner_levels(self):
         f = QuantileForecast(np.array([[9.0, 9.5, 10.0, 10.5, 11.0]]),
                              QuantileLevels())
-        (pi,) = predict_intervals(f, beta=0.2)
-        assert (pi.lower, pi.upper) == (9.5, 10.5)
+        (lower,), (upper,) = interval_bounds(f, beta=0.2)
+        assert (lower, upper) == (9.5, 10.5)
 
     def test_missing_level(self):
         f = QuantileForecast(np.zeros((1, 5)), QuantileLevels())
         with pytest.raises(MissingLevel):
-            predict_intervals(f, beta=0.5)
+            interval_bounds(f, beta=0.5)
 
     def test_repairs_before_extracting(self):
         f = QuantileForecast(np.array([[11.0, 9.5, 10.0, 10.5, 9.0]]),
                              QuantileLevels())
-        (pi,) = predict_intervals(f, beta=0.1)
-        assert (pi.lower, pi.upper) == (9.0, 11.0)
+        (lower,), (upper,) = interval_bounds(f, beta=0.1)
+        assert (lower, upper) == (9.0, 11.0)

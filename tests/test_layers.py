@@ -4,16 +4,40 @@ import pytest
 from quantrange.errors import DimensionMismatch, ShapeMismatch
 from quantrange.models import (
     ModelSpec,
-    conv_feedforward,
     encoder_block,
     forward,
-    global_average_pool,
     init_params,
-    layer_norm,
-    multi_head_attention,
     zero_params,
 )
-from quantrange.models.layers import conv1d_forward, mha_forward, softmax
+from quantrange.models.layers import (
+    conv1d_forward,
+    gap_forward,
+    layer_norm_forward,
+    mha_forward,
+    relu_forward,
+    softmax,
+)
+
+
+def layer_norm(x, gamma, shift, epsilon=1e-5):
+    return layer_norm_forward(np.asarray(x, dtype=float), gamma, shift,
+                              epsilon)[0]
+
+
+def multi_head_attention(x, wq, wk, wv, wo, num_heads):
+    return mha_forward(x, wq, wk, wv, wo, num_heads)[0]
+
+
+def conv_feedforward(x, kernel1, bias1, kernel2, bias2):
+    """ReLU(conv_k(x)) then a width-1 conv, as inside an encoder block."""
+    h, _ = conv1d_forward(x, kernel1, bias1)
+    h, _ = relu_forward(h)
+    return conv1d_forward(h, kernel2, bias2)[0]
+
+
+def global_average_pool(x):
+    """(T, d) -> (d,): the pooling of one sample."""
+    return gap_forward(np.asarray(x, dtype=float)[None])[0][0]
 
 
 class TestLayerNorm:

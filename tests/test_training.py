@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
+from quantrange.errors import NonFiniteLoss, ShapeMismatch
 from quantrange.models import (
+    KINDS,
     LinearSpec,
+    MLPSpec,
     ModelSpec,
     QuantileLevels,
     TrainConfig,
-    linear_forward,
-    linear_init,
+    forward,
+    init_params,
     train,
-    train_linear,
 )
+from quantrange.models import training
+from quantrange.models.network import loss_value
+
+# the linear kind's schedule: one full batch per epoch, step lr/sqrt(1 + t)
+FULL_BATCH = {"batch_size": None, "lr_schedule": "inverse-sqrt"}
 
 
 class TestNetworkTraining:
@@ -24,7 +31,6 @@ class TestNetworkTraining:
             spec, x, y,
             TrainConfig(learning_rate=2e-3, epochs=120, batch_size=16, seed=1),
         )
-        from quantrange.models import forward
         pred = forward(spec, params, x).values
         assert np.allclose(pred, 0.37, atol=2e-2)
         assert history[-1] <= history[0]
@@ -45,18 +51,18 @@ class TestNetworkTraining:
 class TestLinearBaseline:
     def test_intercept_only_median(self):
         spec = LinearSpec(num_inputs=0, levels=QuantileLevels((0.5,)))
-        params, _ = train_linear(
+        params, _ = train(
             spec, np.zeros((3, 0)), np.array([1.0, 2.0, 9.0]),
-            TrainConfig(learning_rate=1.0, epochs=4000, seed=0),
+            TrainConfig(learning_rate=1.0, epochs=4000, seed=0, **FULL_BATCH),
         )
         assert params["b"][0] == pytest.approx(2.0, abs=0.05)
 
     def test_intercept_only_90th_percentile(self):
         y = np.arange(1.0, 101.0)
         spec = LinearSpec(num_inputs=0, levels=QuantileLevels((0.9,)))
-        params, _ = train_linear(
+        params, _ = train(
             spec, np.zeros((100, 0)), y,
-            TrainConfig(learning_rate=5.0, epochs=4000, seed=0),
+            TrainConfig(learning_rate=5.0, epochs=4000, seed=0, **FULL_BATCH),
         )
         assert abs(params["b"][0] - np.quantile(y, 0.9)) <= 1.0
 
@@ -65,18 +71,19 @@ class TestLinearBaseline:
         x = rng.uniform(-1, 1, (200, 1))
         y = 2.0 * x[:, 0]
         spec = LinearSpec(num_inputs=1, levels=QuantileLevels((0.3,)))
-        params, _ = train_linear(
-            spec, x, y, TrainConfig(learning_rate=0.3, epochs=8000, seed=0),
+        params, _ = train(
+            spec, x, y, TrainConfig(learning_rate=0.3, epochs=8000, seed=0,
+                                    **FULL_BATCH),
         )
         assert params["w"][0, 0] == pytest.approx(2.0, abs=0.01)
 
     def test_zero_epochs_returns_initial(self):
         spec = LinearSpec(num_inputs=2)
         rng = np.random.default_rng(3)
-        init = linear_init(spec, np.random.default_rng(0))
-        params, history = train_linear(
+        init = init_params(spec, np.random.default_rng(0))
+        params, history = train(
             spec, rng.uniform(size=(10, 2)), rng.uniform(size=10),
-            TrainConfig(epochs=0, seed=0),
+            TrainConfig(epochs=0, seed=0, **FULL_BATCH),
         )
         for name in init.arrays:
             assert np.array_equal(params[name], init[name])
@@ -84,6 +91,61 @@ class TestLinearBaseline:
 
     def test_forward_shape(self):
         spec = LinearSpec(num_inputs=5)
-        params = linear_init(spec, np.random.default_rng(0))
-        out = linear_forward(spec, params, np.zeros((7, 5, 1)))
+        params = init_params(spec, np.random.default_rng(0))
+        out = forward(spec, params, np.zeros((7, 5, 1)))
         assert out.values.shape == (7, 5)
+
+
+# one small spec of each kind, all taking windows of 5 values
+KIND_SPECS = {
+    "futurequant": ModelSpec(num_blocks=1, dropout_rate=0.0),
+    "quantile-linear": LinearSpec(num_inputs=5),
+    "quantile-mlp": MLPSpec(num_inputs=5, hidden=(8, 4)),
+}
+
+
+def test_every_kind_has_a_spec_here():
+    assert set(KIND_SPECS) == set(KINDS)
+    for kind, spec in KIND_SPECS.items():
+        assert type(spec) is KINDS[kind].spec_class
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+class TestEveryKind:
+    def test_diverging_learning_rate_raises(self, kind):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, (16, 5, 1))
+        y = rng.uniform(0, 1, 16)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
+            train(KIND_SPECS[kind], x, y,
+                  TrainConfig(learning_rate=1e308, epochs=5, batch_size=8))
+
+    def test_wrong_window_width_rejected(self, kind):
+        spec = KIND_SPECS[kind]
+        params = init_params(spec, np.random.default_rng(1))
+        assert forward(spec, params, np.zeros((3, 5, 1))).values.shape == (3, 5)
+        for width in (4, 6):
+            with pytest.raises(ShapeMismatch):
+                forward(spec, params, np.zeros((3, width, 1)))
+
+    def test_loss_curve_is_epoch_mean_of_batch_losses(self, kind, monkeypatch):
+        spec = KIND_SPECS[kind]
+        batch_losses = []
+        real = training.loss_and_grads
+
+        def recording(*args, **kwargs):
+            value, grads = real(*args, **kwargs)
+            batch_losses.append(value)
+            return value, grads
+
+        monkeypatch.setattr(training, "loss_and_grads", recording)
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 1, (20, 5, 1))
+        y = rng.uniform(0, 1, 20)
+        _, history = train(spec, x, y,
+                           TrainConfig(epochs=2, batch_size=8, seed=3))
+        init = init_params(spec, np.random.default_rng(3))
+        assert history[0] == loss_value(spec, init, x, y)[0]
+        assert len(batch_losses) == 6      # 3 batches of <= 8 per epoch
+        assert history[1:] == [sum(batch_losses[:3]) / 3,
+                               sum(batch_losses[3:]) / 3]
