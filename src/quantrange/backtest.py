@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import AlignmentError, RuinousReturn
 from .indicators import IndicatorConfig, atr_percent, rsi
-from .market_data import Bar
 from .models.forecast import QuantileForecast
 from .strategy import (
     PositionState,
@@ -76,8 +75,11 @@ def scenario_test(initial_funds: float, period_return: float) -> float:
     return initial_funds * (1.0 + period_return)
 
 
+_UNITS = {Side.FLAT: 0, Side.LONG: 1, Side.SHORT: -1}
+
+
 def equity_from_positions(
-    bars: Sequence[Bar],
+    bars: np.recarray,
     positions: Sequence[PositionState],
     initial_capital: float,
     transaction_cost: float = 0.0,
@@ -91,26 +93,20 @@ def equity_from_positions(
     n = len(bars)
     if len(positions) != n:
         raise AlignmentError(f"{n} bars vs {len(positions)} positions")
-    closes = np.array([b.close for b in bars], dtype=float)
-    opens = np.array([b.open for b in bars], dtype=float)
-    equity = np.empty(n)
-    cash = initial_capital
-    held = 0  # units: +1 long, -1 short
-    for i in range(n):
-        want = {Side.FLAT: 0, Side.LONG: 1, Side.SHORT: -1}[positions[i].side]
-        if want != held:
-            traded = abs(want - held)
-            cash -= (want - held) * opens[i] + traded * transaction_cost
-            held = want
-        equity[i] = cash + held * closes[i]
-    if held != 0:  # force-close on the final bar
-        cash += held * closes[-1] - abs(held) * transaction_cost
-        equity[-1] = cash
+    held = np.array([_UNITS[p.side] for p in positions], dtype=np.int64)
+    change = np.diff(held, prepend=0)   # units bought (+) or sold (-)
+    fills = np.where(change != 0,
+                     change * bars.open + np.abs(change) * transaction_cost,
+                     0.0)
+    # cash after each bar, subtracted fill by fill as a running balance
+    cash = np.cumsum(np.concatenate([[initial_capital], -fills]))[1:]
+    equity = cash + held * bars.close
+    if n and held[-1] != 0:  # force-close on the final bar
+        equity[-1] = cash[-1] + (held[-1] * bars.close[-1]
+                                 - abs(held[-1]) * transaction_cost)
 
     equity = np.concatenate([[initial_capital], equity])
-    returns = np.empty(n + 1)
-    returns[0] = 0.0
-    returns[1:] = equity[1:] / equity[:-1] - 1.0
+    returns = np.concatenate([[0.0], equity[1:] / equity[:-1] - 1.0])
     return EquityCurve(equity=equity, returns=returns)
 
 
@@ -125,7 +121,7 @@ class BacktestResult:
 
 
 def run_backtest(
-    bars: Sequence[Bar],
+    bars: np.recarray,
     forecast: QuantileForecast,
     indicator_cfg: IndicatorConfig = IndicatorConfig(),
     strategy_cfg: StrategyConfig = StrategyConfig(),
@@ -144,8 +140,7 @@ def run_backtest(
         raise AlignmentError(
             f"{n} bars vs {forecast.values.shape[0]} forecast rows"
         )
-    closes = np.array([b.close for b in bars], dtype=float)
-    opens = np.array([b.open for b in bars], dtype=float)
+    closes, opens = bars.close, bars.open
     rsi_series = rsi(closes, indicator_cfg.rsi_period)
     atr_series = atr_percent(bars, indicator_cfg.atr_period)
     lower_idx = forecast.levels.index_of(0.05)

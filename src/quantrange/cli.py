@@ -60,23 +60,7 @@ def cmd_synth(cfg: RunConfig) -> None:
     print(f"wrote {_out(cfg, 'ticks.csv')} ({len(prices)} ticks)")
 
 
-def _load_bars(cfg: RunConfig) -> list[md.Bar]:
-    source = cfg.source
-    if source == "synthetic":
-        source = _require(_out(cfg, "ticks.csv"))
-    with open(_require(source), "r", encoding="utf-8") as fh:
-        result = md.parse_ticks(fh, delimiter=cfg.delimiter)
-    return md.resample(result.records, cfg.bar_interval)
-
-
-def _split_bars(cfg: RunConfig, bars: list[md.Bar]):
-    n = len(bars)
-    n_train = int(n * cfg.split_train)
-    n_val = int(n * cfg.split_val)
-    return bars[:n_train], bars[n_train:n_train + n_val], bars[n_train + n_val:]
-
-
-def _windows_with_norm(cfg: RunConfig, bars: list[md.Bar],
+def _windows_with_norm(cfg: RunConfig, bars: np.recarray,
                        norm: md.NormalizationParams) -> md.WindowedDataset:
     ds = md.make_windows(bars, window_in=cfg.window_in,
                          window_out=cfg.window_out, stride=cfg.stride)
@@ -87,33 +71,39 @@ def _windows_with_norm(cfg: RunConfig, bars: list[md.Bar],
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
-    bars = _load_bars(cfg)
-    train_bars, val_bars, test_bars = _split_bars(cfg, bars)
-    norm = md.fit_minmax(np.array([b.close for b in train_bars]))
-    names = {"train": train_bars, "val": val_bars, "test": test_bars}
+    source = cfg.source
+    if source == "synthetic":
+        source = _out(cfg, "ticks.csv")
+    with open(_require(source), "r", encoding="utf-8") as fh:
+        parsed = md.parse_ticks(fh, delimiter=cfg.delimiter)
+    ticks = parsed.records
+    bars = md.resample(ticks, cfg.bar_interval)
+    populated = np.unique((ticks.timestamp - ticks.timestamp[0])
+                          // cfg.bar_interval).size
+    print(f"read {len(ticks)} ticks ({parsed.dropped_rows} rows dropped), "
+          f"{len(bars)} bars ({len(bars) - populated} forward-filled)")
+    n_train = int(len(bars) * cfg.split_train)
+    n_val = int(len(bars) * cfg.split_val)
+    names = {"train": bars[:n_train], "val": bars[n_train:n_train + n_val],
+             "test": bars[n_train + n_val:]}
+    norm = md.fit_minmax(names["train"].close)
     for name, split in names.items():
         ds = _windows_with_norm(cfg, split, norm)
         md.save_dataset(ds, _out(cfg, f"{name}.wds"))
         print(f"wrote {_out(cfg, name + '.wds')} ({ds.num_samples} samples)")
     lines = ["open_time\topen\thigh\tlow\tclose\tvolume_delta\tsplit"]
     for name, split in names.items():
-        for b in split:
-            lines.append(f"{b.open_time!r}\t{b.open!r}\t{b.high!r}\t"
-                         f"{b.low!r}\t{b.close!r}\t{b.volume_delta}\t{name}")
+        lines.extend("\t".join(map(repr, row)) + f"\t{name}"
+                     for row in split.tolist())
     atomic_write_text(_out(cfg, "bars.tsv"), "\n".join(lines) + "\n")
 
 
-def _read_bars_tsv(cfg: RunConfig, split: str) -> list[md.Bar]:
-    path = _require(_out(cfg, "bars.tsv"))
-    bars = []
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            ot, o, h, lo, c, vd, sp = line.rstrip("\n").split("\t")
-            if sp == split:
-                bars.append(md.Bar(float(ot), float(o), float(h), float(lo),
-                                   float(c), int(vd)))
-    return bars
+def _read_bars_tsv(cfg: RunConfig, split: str) -> np.recarray:
+    rows = np.loadtxt(_require(_out(cfg, "bars.tsv")), delimiter="\t",
+                      dtype=md.BAR_DTYPE.descr + [("split", "U5")],
+                      skiprows=1, ndmin=1)
+    rows = rows[rows["split"] == split][list(md.BAR_DTYPE.names)]
+    return rows.astype(md.BAR_DTYPE).view(np.recarray)
 
 
 def _train_model(cfg: RunConfig, kind: str, ds: md.WindowedDataset, seed: int):
@@ -176,14 +166,19 @@ def cmd_backtest(cfg: RunConfig) -> None:
     kind = cfg.model_kind
     _, spec, params = load_checkpoint(_require(_out(cfg, f"model-{kind}.ckpt")))
     test_bars = _read_bars_tsv(cfg, "test")
+    warm_up = max(cfg.indicators.rsi_period, cfg.indicators.atr_period)
+    if len(test_bars) <= warm_up + cfg.window_in:
+        print(f"warning: the test split has {len(test_bars)} bars, no more "
+              f"than the indicator warm-up plus window_in "
+              f"({warm_up} + {cfg.window_in}), so it cannot trade",
+              file=sys.stderr)
     ds = md.load_dataset(_require(_out(cfg, "test.wds")))
     raw = forward(spec, params, ds.inputs)
     repaired = repair_monotonic(_to_price_units(raw, ds.norm))
 
     aligned = np.full((len(test_bars), repaired.values.shape[1]), np.nan)
-    for i in range(repaired.values.shape[0]):
-        decision_bar = i * cfg.stride + cfg.window_in - 1
-        aligned[decision_bar] = repaired.values[i]
+    decision_bars = np.arange(len(repaired.values)) * cfg.stride
+    aligned[decision_bars + cfg.window_in - 1] = repaired.values
     forecast = QuantileForecast(values=aligned, levels=repaired.levels)
 
     result = bt.run_backtest(

@@ -142,6 +142,8 @@ def load_config(path: str, seed_override: int | None = None,
     splits = cfg.split_train + cfg.split_val + cfg.split_test
     if abs(splits - 1.0) > 1e-9:
         raise ConfigError(f"split fractions sum to {splits}, expected 1")
+    if not cfg.bar_interval > 0:
+        raise ConfigError(f"[data] bar_interval {cfg.bar_interval} is not > 0")
     if cfg.window_out != 1:
         raise ConfigError("[data] window_out: the models predict one step "
                           f"ahead, so it must be 1, not {cfg.window_out}")

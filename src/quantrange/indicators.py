@@ -8,14 +8,13 @@ standard normal quantile z.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientData, MissingLevel
-from .market_data import Bar
 from .models.forecast import DEFAULT_LEVELS, QuantileForecast
 
 
@@ -87,26 +86,23 @@ def _rsi_value(avg_gain: float, avg_loss: float) -> float:
     return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
-def true_range(bars: Sequence[Bar]) -> np.ndarray:
+def true_range(bars: np.recarray) -> np.ndarray:
     """TR_t = max(high-low, |high-prev_close|, |low-prev_close|); NaN at 0."""
-    n = len(bars)
-    tr = np.full(n, np.nan)
-    for i in range(1, n):
-        b, prev_close = bars[i], bars[i - 1].close
-        tr[i] = max(b.high - b.low,
-                    abs(b.high - prev_close),
-                    abs(b.low - prev_close))
+    high, low, prev_close = bars.high[1:], bars.low[1:], bars.close[:-1]
+    tr = np.full(len(bars), np.nan)
+    tr[1:] = np.maximum(np.maximum(high - low, np.abs(high - prev_close)),
+                        np.abs(low - prev_close))
     return tr
 
 
-def atr_percent(bars: Sequence[Bar], period: int = 14) -> np.ndarray:
+def atr_percent(bars: np.recarray, period: int = 14) -> np.ndarray:
     """Wilder-smoothed ATR divided by the bar close (0.02 = 2%). First
     defined value at index `period`."""
     n = len(bars)
     if n < period + 1:
         raise InsufficientData(f"atr needs {period + 1} bars, got {n}")
     tr = true_range(bars)
-    closes = np.array([b.close for b in bars], dtype=float)
+    closes = bars.close
     out = np.full(n, np.nan)
     atr = tr[1:period + 1].mean()
     out[period] = atr / closes[period]
@@ -130,12 +126,6 @@ def bands_from_forecast(forecast: QuantileForecast, sample_index: int) -> BandSe
                    lower_inner=lo_in, lower=lo)
 
 
-def _norm_quantile(p: float) -> float:
-    """Standard normal quantile via the error-function inverse."""
-    from statistics import NormalDist
-    return NormalDist().inv_cdf(p)
-
-
 def shape_from_quantiles(
     row: Sequence[float],
     levels: Sequence[float] = DEFAULT_LEVELS,
@@ -147,7 +137,7 @@ def shape_from_quantiles(
         raise MissingLevel(f"{row.size} values for {len(levels)} levels")
     if np.any(np.diff(row) < 0.0):
         raise ValueError("quantile row must be monotone; repair it first")
-    z = np.array([_norm_quantile(p) for p in levels])
+    z = np.array([NormalDist().inv_cdf(p) for p in levels])
     basis = np.column_stack([np.ones_like(z), z, z ** 2 - 1.0, z ** 3 - 3.0 * z])
     coeffs, *_ = np.linalg.lstsq(basis, row, rcond=None)
     mu, sigma, a, b = coeffs

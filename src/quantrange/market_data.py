@@ -1,17 +1,20 @@
 """Tick parsing, bar resampling, min-max normalization, and windowing.
 
-All functions here are pure: they take immutable inputs and return new
-objects, so they are safe to call from multiple threads.
+Ticks and bars are numpy record arrays, one row per tick or bar, with the
+fields of `TICK_DTYPE` and `BAR_DTYPE`. All functions here are pure: they
+take immutable inputs and return new objects, so they are safe to call
+from multiple threads.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateFeature,
@@ -22,42 +25,20 @@ from .errors import (
     NonMonotoneTimestamp,
 )
 
-TICK_FIELDS = (
-    "UpdateTime",
-    "UpdateMillisec",
-    "LastPrice",
-    "Volume",
-    "BidPrice1",
-    "BidVolume1",
-    "AskPrice1",
-    "AskVolume1",
-)
-
-
-@dataclass(frozen=True)
-class TickRecord:
-    update_time: float        # seconds (within-day or epoch, feed dependent)
-    update_millisec: int      # [0, 999]
-    last_price: float
-    volume: int               # cumulative trade count
-    bid_price1: float
-    bid_volume1: int
-    ask_price1: float
-    ask_volume1: int
-
-    @property
-    def timestamp(self) -> float:
-        return self.update_time + self.update_millisec / 1000.0
-
-
-@dataclass(frozen=True)
-class Bar:
-    open_time: float
-    open: float
-    high: float
-    low: float
-    close: float
-    volume_delta: int
+TICK_FIELDS = ("UpdateTime", "UpdateMillisec", "LastPrice", "Volume",
+               "BidPrice1", "BidVolume1", "AskPrice1", "AskVolume1")
+# the TICK_FIELDS in order: UpdateTime in seconds (within day or epoch,
+# feed dependent), Volume cumulative; then update_time + millisec / 1000
+TICK_DTYPE = np.dtype([
+    ("update_time", "f8"), ("update_millisec", "i8"), ("last_price", "f8"),
+    ("volume", "i8"), ("bid_price1", "f8"), ("bid_volume1", "i8"),
+    ("ask_price1", "f8"), ("ask_volume1", "i8"), ("timestamp", "f8")])
+BAR_DTYPE = np.dtype([(name, "f8") for name in
+                      ("open_time", "open", "high", "low", "close")]
+                     + [("volume_delta", "i8")])
+# np.loadtxt reads UpdateTime as bytes of this width; a cell that fills
+# it may have been cut short, and sends the file to the row parser
+_TIME_WIDTH = 24
 
 
 @dataclass(frozen=True)
@@ -81,7 +62,7 @@ class WindowedDataset:
 
 @dataclass
 class ParseResult:
-    records: list[TickRecord]
+    records: np.recarray  # TICK_DTYPE: the rows kept, in file order
     dropped_rows: int  # rows with a zero bid/ask sentinel, skipped non-fatally
 
 
@@ -94,105 +75,172 @@ def _parse_time(text: str) -> float:
     return float(text)
 
 
-def parse_ticks(
-    stream: io.TextIOBase | str,
-    delimiter: str = ",",
-) -> ParseResult:
-    """Parse delimiter-separated tick rows into TickRecords.
-
-    The first row must be a header naming all eight tick fields (any order).
-    Rows with a zero bid or ask sentinel are dropped and counted; any other
-    violation raises with the offending line number.
-    """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    lines = iter(enumerate(stream, start=1))
+def _read_fast(stream, columns: list[int], ncols: int, delimiter: str):
+    """The ticks of one np.loadtxt pass over the open file, UpdateTime read
+    as bytes and decoded by array arithmetic if HH:MM:SS, else by
+    `_parse_time`; None if a cell does not parse or may have been cut."""
+    dtype = [(f"unused{j}", "U1") for j in range(ncols)]
+    for j, name in zip(columns, TICK_DTYPE.names):
+        dtype[j] = (name, TICK_DTYPE[name])
+    dtype[columns[0]] = ("update_time", f"S{_TIME_WIDTH}")
     try:
-        _, header_line = next(lines)
-    except StopIteration:
-        raise MissingField("stream is empty; header row required")
-    header = [h.strip() for h in header_line.rstrip("\n").split(delimiter)]
-    for name in TICK_FIELDS:
-        if name not in header:
-            raise MissingField(f"header lacks required field {name!r}")
-    col = {name: header.index(name) for name in TICK_FIELDS}
+        raw = np.loadtxt(stream, dtype=dtype, delimiter=delimiter,
+                         comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ticks = np.empty(len(raw), TICK_DTYPE)
+    for name in TICK_DTYPE.names[1:8]:
+        ticks[name] = raw[name]
+    cells = np.ascontiguousarray(raw["update_time"])
+    del raw
+    byte = cells.view(np.uint8).reshape(len(cells), _TIME_WIDTH)
+    digits = byte[:, [0, 1, 3, 4, 6, 7]] - ord("0")   # a non-digit is >= 10
+    other = ~((digits <= 9).all(axis=1) & ~byte[:, 8:].any(axis=1)
+              & (byte[:, [2, 5]] == ord(":")).all(axis=1))
+    ticks["update_time"] = (digits[:, 0::2] * 10 + digits[:, 1::2]).astype(
+        np.int64) @ [3600, 60, 1]
+    if byte[other, -1].any():
+        return None
+    try:
+        ticks["update_time"][other] = [
+            _parse_time(cell.decode("latin-1").strip()) for cell in cells[other]]
+    except ValueError:
+        return None
+    return ticks
 
-    records: list[TickRecord] = []
-    dropped = 0
-    prev_ts: float | None = None
+
+def _read_rows(lines, columns: list[int], ncols: int, delimiter: str):
+    """The row parser, for a file np.loadtxt cannot read: (the ticks before
+    the first line with a wrong field count or a cell that does not parse,
+    that line's error or None)."""
+    convert = [float if TICK_DTYPE[i].kind == "f"
+               else lambda v: np.int64(int(v)) for i in range(1, 8)]
+    rows, error = [], None
     for lineno, line in lines:
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split(delimiter)
-        if len(parts) != len(header):
-            raise MalformedRow(
-                lineno, f"expected {len(header)} fields, got {len(parts)}"
-            )
+        if len(parts) != ncols:
+            error = MalformedRow(
+                lineno, f"expected {ncols} fields, got {len(parts)}")
+            break
         try:
-            rec = TickRecord(
-                update_time=_parse_time(parts[col["UpdateTime"]].strip()),
-                update_millisec=int(parts[col["UpdateMillisec"]]),
-                last_price=float(parts[col["LastPrice"]]),
-                volume=int(parts[col["Volume"]]),
-                bid_price1=float(parts[col["BidPrice1"]]),
-                bid_volume1=int(parts[col["BidVolume1"]]),
-                ask_price1=float(parts[col["AskPrice1"]]),
-                ask_volume1=int(parts[col["AskVolume1"]]),
-            )
-        except ValueError as exc:
-            raise MalformedRow(lineno, f"unparsable value ({exc})")
-        if not 0 <= rec.update_millisec <= 999:
-            raise MalformedRow(lineno, "UpdateMillisec outside [0, 999]")
-        if rec.last_price <= 0:
-            raise MalformedRow(lineno, "LastPrice must be positive")
-        if rec.bid_price1 == 0 or rec.ask_price1 == 0:
-            dropped += 1
-            continue
-        if rec.ask_price1 > 0 and rec.bid_price1 > 0 and rec.ask_price1 < rec.bid_price1:
-            raise MalformedRow(lineno, "crossed book: AskPrice1 < BidPrice1")
-        if prev_ts is not None and rec.timestamp < prev_ts:
-            raise NonMonotoneTimestamp(
-                lineno, f"timestamp {rec.timestamp} < previous {prev_ts}"
-            )
-        prev_ts = rec.timestamp
-        records.append(rec)
-    return ParseResult(records=records, dropped_rows=dropped)
+            rows.append((_parse_time(parts[columns[0]].strip()),
+                         *[to(parts[j]) for to, j in zip(convert, columns[1:])]))
+        except (ValueError, OverflowError) as exc:
+            error = MalformedRow(lineno, f"unparsable value ({exc})")
+            break
+    return np.array([(*row, 0.0) for row in rows], TICK_DTYPE), error
 
 
-def resample(ticks: Sequence[TickRecord], interval: float = 30.0) -> list[Bar]:
-    """Aggregate ticks into fixed-interval OHLC bars.
+def _checked(ticks: np.ndarray, error: MalformedRow | None,
+             line_of) -> ParseResult:
+    """Fills in the timestamps and raises the first failing row check (the
+    checks are masks over all rows, taken in the order a row-by-row parse
+    meets them), then `error`, the failure of the row after the last."""
+    ticks = ticks.view(np.recarray)
+    ts = ticks.timestamp = ticks.update_time + ticks.update_millisec / 1000.0
+    ms, bid, ask = ticks.update_millisec, ticks.bid_price1, ticks.ask_price1
+    drop = (bid == 0) | (ask == 0)
+    kept = np.flatnonzero(~drop)
+    back = np.zeros(len(ticks), bool)
+    back[kept[1:]] = ts[kept[1:]] < ts[kept[:-1]]
+    checks = {"UpdateMillisec outside [0, 999]": (ms < 0) | (ms > 999),
+              "LastPrice must be positive": ticks.last_price <= 0,
+              "crossed book: AskPrice1 < BidPrice1":
+                  (ask > 0) & (bid > 0) & (ask < bid)}
+    bad = np.flatnonzero(np.logical_or.reduce([*checks.values(), back]))
+    if bad.size:
+        i = int(bad[0])
+        for message, mask in checks.items():
+            if mask[i]:
+                raise MalformedRow(line_of(i), message)
+        prev = ts[kept[np.searchsorted(kept, i) - 1]]
+        raise NonMonotoneTimestamp(
+            line_of(i), f"timestamp {float(ts[i])} < previous {float(prev)}")
+    if error is not None:
+        raise error
+    return ParseResult(ticks[~drop] if drop.any() else ticks, int(drop.sum()))
+
+
+def parse_ticks(
+    stream: io.TextIOBase | str,
+    delimiter: str = ",",
+) -> ParseResult:
+    """Parse delimiter-separated tick rows into a TICK_DTYPE record array.
+
+    The first row must be a header naming all eight tick fields (any order).
+    Rows with a zero BidPrice1 or AskPrice1 are dropped and counted; any
+    other violation raises with the offending line number. np.loadtxt reads
+    the body unless numpy would split or read it differently from the row
+    parser (a lone carriage return, a NUL); the row parser runs only if
+    np.loadtxt cannot. A stream that cannot seek is read into memory.
+    """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    elif not stream.seekable():
+        stream = io.StringIO(stream.read())
+    header_line = stream.readline()
+    if not header_line:
+        raise MissingField("stream is empty; header row required")
+    header = [h.strip() for h in header_line.rstrip("\n").split(delimiter)]
+    for name in TICK_FIELDS:
+        if name not in header:
+            raise MissingField(f"header lacks required field {name!r}")
+    columns = [header.index(name) for name in TICK_FIELDS]
+    start = stream.tell()
+
+    def line_of(row: int) -> int:
+        stream.seek(start)
+        data = (n for n, line in enumerate(stream, 2) if line.rstrip("\n"))
+        return next(itertools.islice(data, row, None))
+
+    fast, has_rows = len(delimiter) == 1 and delimiter not in "\r\n", False
+    for chunk in iter(lambda: stream.read(1 << 20), ""):
+        fast = fast and "\r" not in chunk and "\0" not in chunk
+        has_rows = has_rows or bool(chunk.strip("\n"))
+    stream.seek(start)
+    if fast and has_rows:
+        ticks = _read_fast(stream, columns, len(header), delimiter)
+        if ticks is not None:
+            return _checked(ticks, None, line_of)
+        stream.seek(start)
+    return _checked(*_read_rows(enumerate(stream, 2), columns, len(header),
+                                delimiter), line_of)
+
+
+def resample(ticks: np.recarray, interval: float = 30.0) -> np.recarray:
+    """Aggregate ticks (in time order) into fixed-interval OHLC bars.
 
     Empty intervals between populated ones are forward-filled with the
-    previous close (o=h=l=c, volume_delta 0). Volume is treated as
-    cumulative; per-bar deltas are differenced and clamped at 0.
-    """
-    if not ticks:
+    previous close (o=h=l=c, volume_delta 0). Volume is cumulative; per-bar
+    deltas are differenced and clamped at 0."""
+    if not len(ticks):
         raise EmptyInput("no ticks to resample")
-    t0 = ticks[0].timestamp
-    buckets: dict[int, list[TickRecord]] = {}
-    for t in ticks:
-        buckets.setdefault(int((t.timestamp - t0) // interval), []).append(t)
-
-    bars: list[Bar] = []
-    prev_close: float | None = None
-    prev_cum_volume = ticks[0].volume
-    last_bucket = max(buckets)
-    for b in range(last_bucket + 1):
-        open_time = t0 + b * interval
-        group = buckets.get(b)
-        if group is None:
-            assert prev_close is not None
-            bars.append(Bar(open_time, prev_close, prev_close, prev_close,
-                            prev_close, 0))
-            continue
-        prices = [t.last_price for t in group]
-        cum = group[-1].volume
-        vd = max(0, cum - prev_cum_volume) if bars else max(0, cum - ticks[0].volume)
-        prev_cum_volume = cum
-        bars.append(Bar(open_time, prices[0], max(prices), min(prices),
-                        prices[-1], vd))
-        prev_close = prices[-1]
+    if not interval > 0:
+        raise ValueError(f"interval must be positive, not {interval}")
+    ts, price = ticks.timestamp, ticks.last_price
+    if not (np.isfinite(ts).all() and (np.diff(ts) >= 0).all()):
+        raise NonMonotoneTimestamp(
+            0, "resample needs finite timestamps in non-decreasing order")
+    bucket = ((ts - ts[0]) // interval).astype(np.int64)
+    first = np.flatnonzero(np.diff(bucket, prepend=-1))  # tick opening a bar
+    last = np.append(first[1:], len(ticks)) - 1
+    n = int(bucket[-1]) + 1
+    populated = bucket[first]
+    owner = np.searchsorted(populated, np.arange(n), side="right") - 1
+    filled = populated[owner] != np.arange(n)   # no tick: copies bar owner
+    bars = np.recarray(n, BAR_DTYPE)
+    bars.open_time = ts[0] + np.arange(n) * interval
+    bars.close = price[last][owner]
+    for name, values in (("open", price[first]),
+                         ("high", np.maximum.reduceat(price, first)),
+                         ("low", np.minimum.reduceat(price, first))):
+        bars[name] = np.where(filled, bars.close, values[owner])
+    deltas = np.maximum(0, np.diff(ticks.volume[last],
+                                   prepend=ticks.volume[0]))
+    bars.volume_delta = np.where(filled, 0, deltas[owner])
     return bars
 
 
@@ -222,44 +270,27 @@ def invert_minmax(normalized: np.ndarray, params: NormalizationParams) -> np.nda
     return normalized * (params.x_max - params.x_min) + params.x_min
 
 
-def default_feature_selector(bar: Bar) -> list[float]:
-    return [bar.close]
-
-
 def make_windows(
-    bars: Sequence[Bar],
-    feature_selector: Callable[[Bar], list[float]] = default_feature_selector,
-    feature_names: Sequence[str] = ("close",),
+    bars: np.recarray,
     window_in: int = 5,
     window_out: int = 1,
     stride: int = 1,
 ) -> WindowedDataset:
-    """Slide a window over contiguous bars; the target is the close price
-    window_out steps after each input window (strictly later in time)."""
+    """Slide a window over contiguous bars: the one input feature is the
+    close, the target the close window_out steps after each window."""
     n = len(bars)
     num = (n - window_in - window_out) // stride + 1 if n >= window_in + window_out else 0
     if num < 1:
         raise InsufficientData(
             f"{n} bars cannot supply window_in={window_in} + window_out={window_out}"
         )
-    feats = np.array([feature_selector(b) for b in bars], dtype=float)  # (n, F)
-    closes = np.array([b.close for b in bars], dtype=float)
-    times = np.array([b.open_time for b in bars], dtype=float)
-    inputs = np.stack(
-        [feats[i * stride: i * stride + window_in] for i in range(num)]
-    )
-    targets = np.stack(
-        [closes[i * stride + window_in: i * stride + window_in + window_out]
-         for i in range(num)]
-    )
-    target_times = np.array(
-        [times[i * stride + window_in + window_out - 1] for i in range(num)]
-    )
+    inputs = sliding_window_view(bars.close, window_in)[::stride][:num]
+    targets = sliding_window_view(bars.close[window_in:], window_out)
     return WindowedDataset(
-        inputs=inputs,
-        targets=targets,
-        feature_names=list(feature_names),
-        target_times=target_times,
+        inputs=inputs[:, :, None].copy(),
+        targets=targets[::stride][:num].copy(),
+        feature_names=["close"],
+        target_times=bars.open_time[window_in + window_out - 1::stride][:num].copy(),
     )
 
 

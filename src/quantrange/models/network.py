@@ -180,26 +180,15 @@ def _dense_backward(spec, caches, dout) -> dict:
 # --- the attention encoder ---
 
 def _encoder_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    d = spec.model_dim
-    cc, k = spec.conv_channels, spec.conv_kernel
-    shapes: dict[str, tuple[int, ...]] = {
-        "input_w": (spec.num_features, d),
-        "input_b": (d,),
-    }
+    d, cc, k = spec.model_dim, spec.conv_channels, spec.conv_kernel
+    block = {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wk": (d, d),
+             "wv": (d, d), "wo": (d, d), "ln2_g": (d,), "ln2_b": (d,),
+             "conv1_w": (k, d, cc), "conv1_b": (cc,),
+             "conv2_w": (1, cc, d), "conv2_b": (d,)}
+    shapes = {"input_w": (spec.num_features, d), "input_b": (d,)}
     for i in range(spec.num_blocks):
-        p = f"block{i}_"
-        shapes[p + "ln1_g"] = (d,)
-        shapes[p + "ln1_b"] = (d,)
-        shapes[p + "wq"] = (d, d)
-        shapes[p + "wk"] = (d, d)
-        shapes[p + "wv"] = (d, d)
-        shapes[p + "wo"] = (d, d)
-        shapes[p + "ln2_g"] = (d,)
-        shapes[p + "ln2_b"] = (d,)
-        shapes[p + "conv1_w"] = (k, d, cc)
-        shapes[p + "conv1_b"] = (cc,)
-        shapes[p + "conv2_w"] = (1, cc, d)
-        shapes[p + "conv2_b"] = (d,)
+        shapes.update({f"block{i}_{name}": shape
+                       for name, shape in block.items()})
     shapes.update(_head_shapes(spec))
     return shapes
 
@@ -236,11 +225,8 @@ def _block_backward(dy, cache, prefix, grads):
     dy1 = dy1 + dy
     # first residual branch
     datt = L.dropout_backward(c_drop, dy1)
-    dn1, dwq, dwk, dwv, dwo = L.mha_backward(c_att, datt)
-    grads[prefix + "wq"] = dwq
-    grads[prefix + "wk"] = dwk
-    grads[prefix + "wv"] = dwv
-    grads[prefix + "wo"] = dwo
+    dn1, *dw = L.mha_backward(c_att, datt)
+    grads.update(zip((prefix + w for w in ("wq", "wk", "wv", "wo")), dw))
     dx, grads[prefix + "ln1_g"], grads[prefix + "ln1_b"] = \
         L.layer_norm_backward(c_ln1, dn1)
     return dx + dy1

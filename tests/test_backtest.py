@@ -10,7 +10,7 @@ from quantrange.backtest import (
 )
 from quantrange.errors import AlignmentError, RuinousReturn
 from quantrange.indicators import IndicatorConfig
-from quantrange.market_data import Bar
+from quantrange.market_data import BAR_DTYPE
 from quantrange.models import QuantileForecast, QuantileLevels
 from quantrange.strategy import PositionState, Side, StrategyConfig
 
@@ -64,17 +64,21 @@ class TestScenario:
 
 
 def bar(t, o, h, l, c):
-    return Bar(t, o, h, l, c, 1)
+    return (t, o, h, l, c, 1)
+
+
+def bar_array(bars):
+    return np.rec.array(bars, dtype=BAR_DTYPE)
 
 
 class TestEquityFromPositions:
     def test_hand_walkthrough_long(self):
         # flat, buy at open 100, hold, force-close at final close 102
-        bars = [
+        bars = bar_array([
             bar(0, 99, 100, 98, 99),
             bar(30, 100, 101, 99, 101),
             bar(60, 101, 103, 100, 102),
-        ]
+        ])
         positions = [
             PositionState(Side.FLAT),
             PositionState(Side.LONG, 100.0, 1),
@@ -85,7 +89,8 @@ class TestEquityFromPositions:
         assert curve.final / curve.initial - 1.0 == pytest.approx(0.02)
 
     def test_short_gains_when_price_falls(self):
-        bars = [bar(0, 100, 100, 99, 100), bar(30, 100, 100, 95, 96)]
+        bars = bar_array([bar(0, 100, 100, 99, 100),
+                          bar(30, 100, 100, 95, 96)])
         positions = [
             PositionState(Side.FLAT),
             PositionState(Side.SHORT, 100.0, 1),
@@ -94,7 +99,8 @@ class TestEquityFromPositions:
         assert curve.final == pytest.approx(1004.0)  # sold 100, covered 96
 
     def test_transaction_cost_charged_per_fill(self):
-        bars = [bar(0, 100, 100, 99, 100), bar(30, 100, 101, 99, 100)]
+        bars = bar_array([bar(0, 100, 100, 99, 100),
+                          bar(30, 100, 101, 99, 100)])
         positions = [
             PositionState(Side.FLAT),
             PositionState(Side.LONG, 100.0, 1),
@@ -105,8 +111,8 @@ class TestEquityFromPositions:
         assert costed.final == pytest.approx(free.final - 0.5)
 
     def test_flat_sequence_is_constant(self):
-        bars = [bar(30 * i, 100 + i, 101 + i, 99 + i, 100 + i)
-                for i in range(5)]
+        bars = bar_array([bar(30 * i, 100 + i, 101 + i, 99 + i, 100 + i)
+                          for i in range(5)])
         positions = [PositionState(Side.FLAT)] * 5
         curve = equity_from_positions(bars, positions, 500.0)
         assert np.all(curve.equity == 500.0)
@@ -114,7 +120,7 @@ class TestEquityFromPositions:
 
     def test_alignment(self):
         with pytest.raises(AlignmentError):
-            equity_from_positions([bar(0, 1, 1, 1, 1)],
+            equity_from_positions(bar_array([bar(0, 1, 1, 1, 1)]),
                                   [PositionState(Side.FLAT)] * 2, 1.0)
 
 
@@ -124,10 +130,10 @@ def trending_bars(n, start=100.0, step=0.0, wiggle=0.5):
     for i in range(n):
         o = price
         c = price + step
-        bars.append(Bar(30.0 * i, o, max(o, c) + wiggle,
-                        min(o, c) - wiggle, c, 1))
+        bars.append((30.0 * i, o, max(o, c) + wiggle,
+                     min(o, c) - wiggle, c, 1))
         price = c
-    return bars
+    return bar_array(bars)
 
 
 def nan_forecast(n):

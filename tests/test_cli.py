@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
@@ -117,7 +118,82 @@ class TestConfigLoading:
         assert cfg.out_dir == "elsewhere"
 
 
+def readme_config(tmp_path, **overrides):
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    for key, value in overrides.items():
+        block, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", block,
+                               flags=re.M)
+        assert count == 1, key
+    return write_config(tmp_path, block)
+
+
+def gapped_tick_csv(path):
+    """1200 ticks, one a second, with no tick from 600 s to 699 s and a zero
+    BidPrice1 at 10, 20 and 30 s: 1197 kept, and in 30 s bars 44 bars, of
+    which 3 (600-689 s) are forward-filled."""
+    lines = ["UpdateTime,UpdateMillisec,LastPrice,Volume,"
+             "BidPrice1,BidVolume1,AskPrice1,AskVolume1"]
+    for i, second in enumerate([*range(600), *range(700, 1300)]):
+        price = 100.0 + 2.0 * np.sin(second / 50.0) + 0.01 * (second % 7)
+        bid = 0.0 if second in (10, 20, 30) else price - 0.5
+        t = 9 * 3600 + second
+        lines.append(f"{t // 3600:02d}:{t % 3600 // 60:02d}:{t % 60:02d},0,"
+                     f"{price:.6f},{i + 1},{bid:.6f},1,{price + 0.5:.6f},1")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+GAPPED_CONFIG = """\
+[data]
+source = {source}
+bar_interval = 30.0
+split_train = 0.5
+split_val = 0.25
+split_test = 0.25
+window_in = 5
+
+[model]
+kind = quantile-linear
+
+[indicators]
+rsi_period = 3
+atr_period = 3
+"""
+
+
 class TestPipeline:
+    def test_ingest_reports_dropped_and_filled(self, tmp_path, capsys):
+        source = gapped_tick_csv(tmp_path / "ticks.csv")
+        config = write_config(tmp_path, GAPPED_CONFIG.format(source=source))
+        out = str(tmp_path / "out")
+        assert main(["ingest", "--config", config, "--out", out]) == 0
+        assert "read 1197 ticks (3 rows dropped), 44 bars (3 forward-filled)" \
+            in capsys.readouterr().out.splitlines()
+
+    def test_readme_example_has_room_to_trade(self, tmp_path, capsys):
+        # 250 bars: the 38-bar test split is longer than the 19-bar warm-up
+        config = readme_config(tmp_path, out_dir=tmp_path / "out")
+        for command in ("synth", "ingest", "train", "backtest"):
+            assert main([command, "--config", config]) == 0, command
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_warm_up_warning(self, tmp_path, capsys):
+        # 6000 ticks make 100 bars, and a 15-bar test split is no longer
+        # than max(rsi_period, atr_period) + window_in = 19
+        config = readme_config(tmp_path, out_dir=tmp_path / "out",
+                               length=6000)
+        for command in ("synth", "ingest", "train"):
+            assert main([command, "--config", config]) == 0, command
+        capsys.readouterr()
+        assert main(["backtest", "--config", config]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert err.startswith("warning: the test split has 15 bars, no more "
+                              "than the indicator warm-up plus window_in "
+                              "(14 + 5)")
+        assert (tmp_path / "out" / "backtest-futurequant.txt").exists()
+
     def test_end_to_end(self, tmp_path):
         config = write_config(tmp_path)
         out = str(tmp_path / "out")

@@ -10,7 +10,7 @@ from quantrange.indicators import (
     shape_from_quantiles,
     true_range,
 )
-from quantrange.market_data import Bar
+from quantrange.market_data import BAR_DTYPE
 from quantrange.models import QuantileForecast, QuantileLevels
 
 # classic worked example for Wilder RSI: the first smoothed value over
@@ -52,26 +52,32 @@ class TestRsi:
             rsi([1.0, 2.0], 14)
 
 
+def bar_array(bars):
+    return np.rec.array(bars, dtype=BAR_DTYPE)
+
+
 def flat_bar(t, price, spread=0.0):
-    return Bar(t, price, price + spread, price - spread, price, 1)
+    return (t, price, price + spread, price - spread, price, 1)
 
 
 class TestAtr:
     def test_true_range_gap_case(self):
         # previous close 10, bar range [12, 12.5]: TR is the 2.5 gap distance
-        bars = [Bar(0, 10, 10, 10, 10, 1), Bar(30, 12, 12.5, 12.0, 12.2, 1)]
+        bars = bar_array([(0, 10, 10, 10, 10, 1),
+                          (30, 12, 12.5, 12.0, 12.2, 1)])
         tr = true_range(bars)
         assert np.isnan(tr[0])
         assert tr[1] == pytest.approx(2.5)
 
     def test_constant_prices_zero_atr(self):
-        bars = [flat_bar(30.0 * i, 50.0) for i in range(20)]
+        bars = bar_array([flat_bar(30.0 * i, 50.0) for i in range(20)])
         out = atr_percent(bars, 14)
         assert out[14] == 0.0
 
     def test_constant_range_fraction(self):
         # each bar spans high-low = 2 around price 100, so ATR/close = 0.02
-        bars = [flat_bar(30.0 * i, 100.0, spread=1.0) for i in range(20)]
+        bars = bar_array([flat_bar(30.0 * i, 100.0, spread=1.0)
+                          for i in range(20)])
         out = atr_percent(bars, 14)
         assert out[14] == pytest.approx(0.02)
         assert out[19] == pytest.approx(0.02)
@@ -79,16 +85,17 @@ class TestAtr:
     def test_price_scale_invariance(self):
         rng = np.random.default_rng(1)
         prices = 100.0 + np.cumsum(rng.standard_normal(30))
-        bars = [Bar(30.0 * i, p, p + 0.5, p - 0.5, p, 1)
-                for i, p in enumerate(prices)]
-        scaled = [Bar(b.open_time, 10 * b.open, 10 * b.high, 10 * b.low,
-                      10 * b.close, b.volume_delta) for b in bars]
+        bars = bar_array([(30.0 * i, p, p + 0.5, p - 0.5, p, 1)
+                          for i, p in enumerate(prices)])
+        scaled = bar_array([(b.open_time, 10 * b.open, 10 * b.high,
+                             10 * b.low, 10 * b.close, b.volume_delta)
+                            for b in bars])
         a, b = atr_percent(bars, 14), atr_percent(scaled, 14)
         assert np.allclose(a[14:], b[14:])
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
-            atr_percent([flat_bar(0, 1.0)] * 5, 14)
+            atr_percent(bar_array([flat_bar(0, 1.0)] * 5), 14)
 
 
 class TestBands:

@@ -13,8 +13,8 @@ from quantrange.errors import (
     NonMonotoneTimestamp,
 )
 from quantrange.market_data import (
-    Bar,
-    TickRecord,
+    BAR_DTYPE,
+    TICK_DTYPE,
     apply_minmax,
     fit_minmax,
     invert_minmax,
@@ -51,7 +51,7 @@ class TestParseTicks:
 
     def test_empty_after_header(self):
         result = parse_ticks(HEADER + "\n")
-        assert result.records == []
+        assert len(result.records) == 0
         assert result.dropped_rows == 0
 
     def test_missing_field(self):
@@ -102,6 +102,14 @@ class TestParseTicks:
         assert rec.last_price == 5742.0
         assert rec.ask_price1 == 5743.0
 
+    def test_long_time_cell(self):
+        # longer than the bytes np.loadtxt keeps of an UpdateTime cell
+        time = "0" * 20 + "34200.25"
+        stream = make_stream([f"{time},500,100.0,1,99.0,1,101.0,1"])
+        rec = parse_ticks(stream).records[0]
+        assert rec.update_time == 34200.25
+        assert rec.timestamp == 34200.75
+
     def test_total_order_preserved(self):
         rows = [f"09:30:{i:02d},0,{100 + i}.0,{i + 1},99.0,1,200.0,1"
                 for i in range(20)]
@@ -112,24 +120,28 @@ class TestParseTicks:
 
 
 def tick(ts, price, volume=0):
-    return TickRecord(ts, 0, price, volume, price - 1, 1, price + 1, 1)
+    return (ts, 0, price, volume, price - 1, 1, price + 1, 1, ts)
+
+
+def tick_array(rows):
+    return np.rec.array(rows, dtype=TICK_DTYPE)
 
 
 class TestResample:
     def test_single_interval_ohlc(self):
-        ticks = [tick(0.0, 5), tick(1.0, 7), tick(2.0, 6)]
+        ticks = tick_array([tick(0.0, 5), tick(1.0, 7), tick(2.0, 6)])
         bars = resample(ticks, 30.0)
         assert len(bars) == 1
         b = bars[0]
         assert (b.open, b.high, b.low, b.close) == (5, 7, 5, 6)
 
     def test_single_tick(self):
-        bars = resample([tick(0.0, 10)], 30.0)
+        bars = resample(tick_array([tick(0.0, 10)]), 30.0)
         assert (bars[0].open, bars[0].high, bars[0].low, bars[0].close) == \
             (10, 10, 10, 10)
 
     def test_gap_forward_filled(self):
-        ticks = [tick(0.0, 10), tick(65.0, 12)]
+        ticks = tick_array([tick(0.0, 10), tick(65.0, 12)])
         bars = resample(ticks, 30.0)
         assert len(bars) == 3
         filler = bars[1]
@@ -142,7 +154,8 @@ class TestResample:
             resample([], 30.0)
 
     def test_volume_conservation(self):
-        ticks = [tick(float(i) * 10, 100 + i, volume=5 * i) for i in range(12)]
+        ticks = tick_array([tick(float(i) * 10, 100 + i, volume=5 * i)
+                            for i in range(12)])
         bars = resample(ticks, 30.0)
         total = sum(b.volume_delta for b in bars)
         assert total == ticks[-1].volume - ticks[0].volume
@@ -184,9 +197,9 @@ class TestMinMax:
 
 
 def bar_series(n, start_price=100.0):
-    return [Bar(30.0 * i, start_price + i, start_price + i + 0.5,
-                start_price + i - 0.5, start_price + i, 1)
-            for i in range(n)]
+    return np.rec.array([(30.0 * i, start_price + i, start_price + i + 0.5,
+                          start_price + i - 0.5, start_price + i, 1)
+                         for i in range(n)], dtype=BAR_DTYPE)
 
 
 class TestMakeWindows:
@@ -229,3 +242,73 @@ class TestDatasetArtifact:
         assert np.array_equal(back.target_times, ds.target_times)
         assert back.feature_names == ds.feature_names
         assert np.array_equal(back.norm.x_min, ds.norm.x_min)
+
+
+def long_stream(bad_row, rows=3000, blank_before=1500):
+    """A valid HH:MM:SS file of `rows` rows with a blank line before row
+    `blank_before`, where row `bad_row` (0-based) is replaced."""
+    lines = [HEADER]
+    for i in range(rows):
+        if i == blank_before:
+            lines.append("")
+        sec = 9 * 3600 + i // 2
+        row = (f"{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d},"
+               f"{500 * (i % 2)},{100 + i % 7}.25,{i + 1},99.0,1,110.0,1")
+        lines.append(bad_row.get(i, row))
+    return "\n".join(lines) + "\n"
+
+
+class TestErrorLocation:
+    """Each error kind placed at line 1503 of a 3000-row file, after a
+    blank line: both parsers must name that line, with the same message."""
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ("10:00:00,0,100.0,1,99.0,1,110.0", MalformedRow,
+         "expected 8 fields, got 7"),
+        ("10:00:00,0,1O0.0,1,99.0,1,110.0,1", MalformedRow,
+         "unparsable value (could not convert string to float: '1O0.0')"),
+        ("10:00:00,0,100.0,1.5,99.0,1,110.0,1", MalformedRow,
+         "unparsable value (invalid literal for int() with base 10: '1.5')"),
+        ("10:00:00,1000,100.0,1,99.0,1,110.0,1", MalformedRow,
+         "UpdateMillisec outside [0, 999]"),
+        ("10:00:00,0,0,1,99.0,1,110.0,1", MalformedRow,
+         "LastPrice must be positive"),
+        ("10:00:00,0,100.0,1,99.0,1,98.0,1", MalformedRow,
+         "crossed book: AskPrice1 < BidPrice1"),
+        ("09:00:00,0,100.0,1,99.0,1,110.0,1", NonMonotoneTimestamp,
+         "timestamp 32400.0 < previous 33149.5"),
+        # several faults in one row: the first check in row order names it
+        ("09:00:00,1000,0,1,99.0,1,98.0,1", MalformedRow,
+         "UpdateMillisec outside [0, 999]"),
+        ("09:00:00,0,0,1,99.0,1,98.0,1", MalformedRow,
+         "LastPrice must be positive"),
+        ("09:00:00,0,100.0,1,99.0,1,98.0,1", MalformedRow,
+         "crossed book: AskPrice1 < BidPrice1"),
+    ])
+    def test_reports_the_reference_line(self, bad, error, message):
+        import reference_market_data as ref
+
+        text = long_stream({1500: bad})
+        with pytest.raises(error) as got:
+            parse_ticks(text)
+        with pytest.raises(error) as want:
+            ref.parse_ticks(text)
+        assert got.value.line_number == want.value.line_number == 1503
+        assert str(got.value) == str(want.value) == f"line 1503: {message}"
+
+    def test_first_of_two_errors_wins(self):
+        # a crossed book before an unparsable cell: the row check comes
+        # first, although only the cell stops np.loadtxt
+        text = long_stream({1400: "09:11:40,0,100.0,1,99.0,1,98.0,1",
+                            2000: "09:16:40,0,oops,1,99.0,1,110.0,1"})
+        with pytest.raises(MalformedRow) as exc:
+            parse_ticks(text)
+        assert exc.value.line_number == 1402
+        assert "crossed book" in str(exc.value)
+
+    def test_dropped_rows_counted_in_long_file(self):
+        text = long_stream({10: "09:00:05,0,100.0,11,0,0,110.0,1",
+                            2500: "09:20:50,0,100.0,2501,99.0,1,0.0,1"})
+        result = parse_ticks(text)
+        assert result.dropped_rows == 2
+        assert len(result.records) == 2998
