@@ -147,6 +147,9 @@ def _checked(ticks: np.ndarray, error: MalformedRow | None,
     back = np.zeros(len(ticks), bool)
     back[kept[1:]] = ts[kept[1:]] < ts[kept[:-1]]
     checks = {"UpdateMillisec outside [0, 999]": (ms < 0) | (ms > 999),
+              **{f"{name} must be finite": ~np.isfinite(col) for name, col
+                 in (("UpdateTime", ts), ("LastPrice", ticks.last_price),
+                     ("BidPrice1", bid), ("AskPrice1", ask))},
               "LastPrice must be positive": ticks.last_price <= 0,
               "crossed book: AskPrice1 < BidPrice1":
                   (ask > 0) & (bid > 0) & (ask < bid)}
@@ -172,10 +175,11 @@ def parse_ticks(
 
     The first row must be a header naming all eight tick fields (any order).
     Rows with a zero BidPrice1 or AskPrice1 are dropped and counted; any
-    other violation raises with the offending line number. np.loadtxt reads
-    the body unless numpy would split or read it differently from the row
-    parser (a lone carriage return, a NUL); the row parser runs only if
-    np.loadtxt cannot. A stream that cannot seek is read into memory.
+    other violation, such as a non-finite time or price, raises with the
+    offending line number. np.loadtxt reads the body unless numpy would
+    split or read it differently from the row parser (a lone carriage
+    return, a NUL); the row parser runs only if np.loadtxt cannot. A
+    stream that cannot seek is read into memory.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)

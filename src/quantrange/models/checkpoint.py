@@ -86,6 +86,6 @@ def load_checkpoint(path: str):
         (ndim,) = struct.unpack_from("<I", data, off); off += 4
         shape = struct.unpack_from(f"<{ndim}I", data, off); off += 4 * ndim
         size = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(data, "<f8", size, off).reshape(shape).copy()
+        arrays[name] = np.frombuffer(data, "<f8", size, off).reshape(shape)
         off += 8 * size
     return kind, spec, ParameterSet(arrays)

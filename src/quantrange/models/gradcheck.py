@@ -36,34 +36,28 @@ def gradient_check(
     subsample of parameter coordinates. Pure: params are left unchanged."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
-    _, analytic = loss_and_grads(spec, params, x, y, loss=loss, mode="eval")
+    _, grads = loss_and_grads(spec, params, x, y, loss=loss, mode="eval")
+    analytic = np.concatenate([grads[name].ravel() for name in params.arrays])
 
-    coords = [
-        (name, flat)
-        for name, a in params.arrays.items()
-        for flat in range(a.size)
-    ]
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(coords), size=min(num_params, len(coords)),
-                       replace=False)
+    count = params.flat.size
+    picks = rng.choice(count, size=min(num_params, count), replace=False)
 
     max_rel = 0.0
     checked = 0
     skipped = 0
-    for k in picks:
-        name, flat = coords[k]
-        a = params.arrays[name]
-        original = a.flat[flat]
-        a.flat[flat] = original + h
+    for i in picks:
+        original = params.flat[i]
+        params.flat[i] = original + h
         lp, sig_p = loss_value(spec, params, x, y, loss=loss)
-        a.flat[flat] = original - h
+        params.flat[i] = original - h
         lm, sig_m = loss_value(spec, params, x, y, loss=loss)
-        a.flat[flat] = original
+        params.flat[i] = original
         if loss == "pinball" and sig_p != sig_m:
             skipped += 1
             continue
         numeric = (lp - lm) / (2.0 * h)
-        ana = analytic[name].flat[flat]
+        ana = analytic[i]
         # the 1e-6 floor keeps sub-roundoff gradients (difference of two
         # nearly equal losses) from registering as spurious mismatches
         rel = abs(numeric - ana) / max(abs(numeric), abs(ana), 1e-6)

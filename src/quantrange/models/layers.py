@@ -3,6 +3,9 @@
 Every forward returns (output, cache); the matching backward consumes the
 cache plus the upstream gradient and returns gradients for its inputs and
 parameters. Everything runs in float64 for deterministic, checkable math.
+Attention projections and conv input gradients are 2-D matmuls over all
+N*T rows, summing as the per-sample products do (and bit-equal to them
+wherever BLAS picks the same kernel for both).
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from ..errors import DimensionMismatch
 # --- layer normalization (over the last axis) ---
 
 def layer_norm_forward(x, gamma, shift, epsilon: float = 1e-5):
-    """((x - mu) / sqrt(var + eps)) * gamma + shift, per trailing vector."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """((x - mu) / sqrt(var + eps)) * gamma + shift, per trailing vector;
+    mu and var are sums over d divided by d, as np.mean and np.var do."""
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x - mu) * inv_std
+    xhat = xc * inv_std
     y = xhat * gamma + shift
     return y, (xhat, inv_std, gamma)
 
@@ -32,8 +37,8 @@ def layer_norm_backward(cache, dy):
     dgamma = (dy * xhat).sum(axis=axes)
     dshift = dy.sum(axis=axes)
     dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = dxhat.sum(axis=-1, keepdims=True) / dy.shape[-1]
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / dy.shape[-1]
     dx = inv_std * (dxhat - m1 - xhat * m2)
     return dx, dgamma, dshift
 
@@ -69,21 +74,25 @@ def relu_backward(mask, dy):
 # --- softmax (last axis) ---
 
 def softmax(x):
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    # the row maximum column by column (cheaper than a reduce of short rows);
+    # any order gives it exactly, up to a zero's sign, which exp cannot see
+    top = x[..., :1]
+    for j in range(1, x.shape[-1]):
+        top = np.maximum(top, x[..., j:j + 1])
+    e = np.exp(x - top)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 # --- multi-head attention ---
 
-def split_heads(x, num_heads):
-    n, t, d = x.shape
-    return x.reshape(n, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+def split_heads(x, n: int, num_heads: int):  # (N*T, d) -> (N, h, T, d/h)
+    shape = (n, x.shape[0] // n, num_heads, x.shape[1] // num_heads)
+    return x.reshape(shape).transpose(0, 2, 1, 3)
 
 
-def merge_heads(x):
+def merge_heads(x):  # (N, h, T, dk) -> (N*T, h*dk)
     n, h, t, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(n, t, h * dk)
+    return x.transpose(0, 2, 1, 3).reshape(n * t, h * dk)
 
 
 def mha_forward(x, wq, wk, wv, wo, num_heads: int):
@@ -95,14 +104,15 @@ def mha_forward(x, wq, wk, wv, wo, num_heads: int):
             f"model dim {d} not divisible by num_heads {num_heads}"
         )
     dk = d // num_heads
-    q = split_heads(x @ wq, num_heads)       # (N, h, T, dk)
-    k = split_heads(x @ wk, num_heads)
-    v = split_heads(x @ wv, num_heads)
+    xf = x.reshape(n * t, d)
+    q = split_heads(xf @ wq, n, num_heads)   # (N, h, T, dk)
+    k = split_heads(xf @ wk, n, num_heads)
+    v = split_heads(xf @ wv, n, num_heads)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
     attn = softmax(scores)                   # (N, h, T, T)
     heads = attn @ v                         # (N, h, T, dk)
-    concat = merge_heads(heads)              # (N, T, d)
-    y = concat @ wo
+    concat = merge_heads(heads)              # (N*T, d)
+    y = (concat @ wo).reshape(n, t, d)
     cache = (x, wq, wk, wv, wo, q, k, v, attn, concat, num_heads)
     return y, cache
 
@@ -110,12 +120,11 @@ def mha_forward(x, wq, wk, wv, wo, num_heads: int):
 def mha_backward(cache, dy):
     x, wq, wk, wv, wo, q, k, v, attn, concat, num_heads = cache
     n, t, d = x.shape
-    dk_dim = d // num_heads
-    scale = 1.0 / np.sqrt(dk_dim)
+    scale = 1.0 / np.sqrt(d // num_heads)
 
-    dwo = concat.reshape(-1, d).T @ dy.reshape(-1, d)
-    dconcat = dy @ wo.T
-    dheads = split_heads(dconcat, num_heads)         # (N, h, T, dk)
+    dyf = dy.reshape(n * t, d)
+    dwo = concat.T @ dyf
+    dheads = split_heads(dyf @ wo.T, n, num_heads)   # (N, h, T, dk)
 
     dattn = dheads @ v.transpose(0, 1, 3, 2)          # (N, h, T, T)
     dv = attn.transpose(0, 1, 3, 2) @ dheads
@@ -126,11 +135,11 @@ def mha_backward(cache, dy):
     dxq = merge_heads(dq)
     dxk = merge_heads(dk)
     dxv = merge_heads(dv)
-    xf = x.reshape(-1, d)
-    dwq = xf.T @ dxq.reshape(-1, d)
-    dwk = xf.T @ dxk.reshape(-1, d)
-    dwv = xf.T @ dxv.reshape(-1, d)
-    dx = dxq @ wq.T + dxk @ wk.T + dxv @ wv.T
+    xf = x.reshape(n * t, d)
+    dwq = xf.T @ dxq
+    dwk = xf.T @ dxk
+    dwv = xf.T @ dxv
+    dx = (dxq @ wq.T + dxk @ wk.T + dxv @ wv.T).reshape(n, t, d)
     return dx, dwq, dwk, dwv, dwo
 
 
@@ -145,10 +154,12 @@ def conv1d_forward(x, w, b):
     if k > t:
         raise DimensionMismatch(f"kernel width {k} exceeds sequence length {t}")
     pl = (k - 1) // 2
-    pr = k - 1 - pl
-    xp = np.pad(x, ((0, 0), (pl, pr), (0, 0)))
-    y = np.tile(b, (n, t, 1)).astype(float)
-    for j in range(k):
+    xp = x
+    if k > 1:
+        xp = np.zeros((n, t + k - 1, cin))
+        xp[:, pl:pl + t] = x
+    y = xp[:, :t] @ w[0] + b
+    for j in range(1, k):
         y += xp[:, j:j + t] @ w[j]
     return y, (xp, w, t, pl)
 
@@ -156,12 +167,13 @@ def conv1d_forward(x, w, b):
 def conv1d_backward(cache, dy):
     xp, w, t, pl = cache
     k, cin, cout = w.shape
+    dyf = dy.reshape(-1, cout)
     dw = np.empty_like(w)
     dxp = np.zeros_like(xp)
     for j in range(k):
-        dw[j] = xp[:, j:j + t].reshape(-1, cin).T @ dy.reshape(-1, cout)
-        dxp[:, j:j + t] += dy @ w[j].T
-    db = dy.reshape(-1, cout).sum(axis=0)
+        dw[j] = xp[:, j:j + t].reshape(-1, cin).T @ dyf
+        dxp[:, j:j + t] += (dyf @ w[j].T).reshape(-1, t, cin)
+    db = dyf.sum(axis=0)
     dx = dxp[:, pl:pl + t]
     return dx, dw, db
 

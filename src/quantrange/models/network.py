@@ -98,18 +98,26 @@ class MLPSpec:
         return (self.num_inputs, *self.hidden, len(self.levels))
 
 
-@dataclass
 class ParameterSet:
-    arrays: dict[str, np.ndarray]
+    """Named arrays, copied on construction into one float64 vector `flat`
+    of which each named array is then a view, in order."""
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.flat = np.concatenate(
+            [np.zeros(0), *(a.ravel() for a in arrays.values())])
+        self.arrays, offset = {}, 0
+        for name, a in arrays.items():
+            self.arrays[name] = self.flat[offset:offset + a.size].reshape(a.shape)
+            offset += a.size
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet({k: v.copy() for k, v in self.arrays.items()})
+        return ParameterSet(self.arrays)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self.arrays.values())
+        return bool(np.isfinite(self.flat).all())
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -325,15 +333,13 @@ def parameter_shapes(spec) -> dict[str, tuple[int, ...]]:
 
 def init_params(spec, rng: np.random.Generator) -> ParameterSet:
     """Glorot-uniform weights, zero biases, unit layer-norm gains."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(spec).items():
+    params = zero_params(spec)
+    for name, a in params.arrays.items():
         if name.endswith("_g"):
-            arrays[name] = np.ones(shape)
-        elif len(shape) == 1:
-            arrays[name] = np.zeros(shape)
-        else:
-            arrays[name] = _glorot(rng, shape)
-    return ParameterSet(arrays)
+            a[...] = 1.0
+        elif a.ndim > 1:
+            a[...] = _glorot(rng, a.shape)
+    return params
 
 
 def zero_params(spec) -> ParameterSet:

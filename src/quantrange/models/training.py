@@ -45,42 +45,42 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.gradient_clip is not None and not self.gradient_clip > 0:
+            raise ValueError("gradient_clip must be positive")
 
 
 class Optimizer:
-    """Updates a named-array parameter dict in place."""
+    """Updates a ParameterSet in place, as one step over its flat vector."""
 
     def __init__(self, config: TrainConfig, params: ParameterSet):
         self.config = config
         self.lr = config.learning_rate
         self.t = 0
-        self.state = {
-            name: {"m": np.zeros_like(a), "v": np.zeros_like(a)}
-            for name, a in params.arrays.items()
-        }
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
     def step(self, params: ParameterSet, grads: dict) -> None:
         cfg = self.config
         self.t += 1
+        g = np.concatenate([grads[name].ravel() for name in params.arrays])
         if cfg.gradient_clip is not None:
-            total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+            # the norm sums per array, in the order the backward pass gave
+            total = np.sqrt(sum(float((a ** 2).sum()) for a in grads.values()))
             if total > cfg.gradient_clip:
-                scale = cfg.gradient_clip / total
-                grads = {k: g * scale for k, g in grads.items()}
-        for name, g in grads.items():
-            a = params.arrays[name]
-            st = self.state[name]
-            if cfg.optimizer == "sgd":
-                a -= self.lr * g
-            elif cfg.optimizer == "momentum":
-                st["m"] = cfg.momentum * st["m"] + g
-                a -= self.lr * st["m"]
-            else:  # adam
-                st["m"] = ADAM_BETA1 * st["m"] + (1 - ADAM_BETA1) * g
-                st["v"] = ADAM_BETA2 * st["v"] + (1 - ADAM_BETA2) * g * g
-                mhat = st["m"] / (1 - ADAM_BETA1 ** self.t)
-                vhat = st["v"] / (1 - ADAM_BETA2 ** self.t)
-                a -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+                g *= cfg.gradient_clip / total
+        if cfg.optimizer == "sgd":
+            params.flat -= self.lr * g
+        elif cfg.optimizer == "momentum":
+            self.m = cfg.momentum * self.m + g
+            params.flat -= self.lr * self.m
+        else:  # adam
+            self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
+            self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
+            mhat = self.m / (1 - ADAM_BETA1 ** self.t)
+            vhat = self.v / (1 - ADAM_BETA2 ** self.t)
+            params.flat -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
 
 
 def train(

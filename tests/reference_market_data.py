@@ -9,6 +9,7 @@ it value for value, and error for error; nothing in the package imports it.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
@@ -99,6 +100,12 @@ def parse_ticks(stream, delimiter: str = ","):
             raise MalformedRow(lineno, f"unparsable value ({exc})")
         if not 0 <= rec.update_millisec <= 999:
             raise MalformedRow(lineno, "UpdateMillisec outside [0, 999]")
+        for name, value in (("UpdateTime", rec.timestamp),
+                            ("LastPrice", rec.last_price),
+                            ("BidPrice1", rec.bid_price1),
+                            ("AskPrice1", rec.ask_price1)):
+            if not math.isfinite(value):
+                raise MalformedRow(lineno, f"{name} must be finite")
         if rec.last_price <= 0:
             raise MalformedRow(lineno, "LastPrice must be positive")
         if rec.bid_price1 == 0 or rec.ask_price1 == 0:

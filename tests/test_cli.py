@@ -82,6 +82,11 @@ class TestConfigLoading:
         ("indicators", "[indicators]\natr_low = 0.0\n"),
         ("train", "[train]\noptimizer = bogus\n"),
         ("train", "[train]\nbatch_size = 0\n"),
+        # a clip of 0 never moves the model, a negative one ascends
+        ("train", "[train]\ngradient_clip = 0.0\n"),
+        ("train", "[train]\ngradient_clip = -1.0\n"),
+        ("train", "[train]\nmomentum = -5\n"),
+        ("train", "[train]\nmomentum = 1.0\n"),
         ("model", "[model]\nnum_blocks = 0\n"),
         ("model", "[model]\nhidden = 8\n"),
         ("data", "[data]\nwindow_out = 2\n"),

@@ -273,6 +273,18 @@ class TestErrorLocation:
          "UpdateMillisec outside [0, 999]"),
         ("10:00:00,0,0,1,99.0,1,110.0,1", MalformedRow,
          "LastPrice must be positive"),
+        ("10:00:00,0,nan,1,99.0,1,110.0,1", MalformedRow,
+         "LastPrice must be finite"),
+        ("10:00:00,0,inf,1,99.0,1,110.0,1", MalformedRow,
+         "LastPrice must be finite"),
+        ("nan,0,100.0,1,99.0,1,110.0,1", MalformedRow,
+         "UpdateTime must be finite"),
+        ("inf,0,100.0,1,99.0,1,110.0,1", MalformedRow,
+         "UpdateTime must be finite"),
+        ("10:00:00,0,100.0,1,-inf,1,110.0,1", MalformedRow,
+         "BidPrice1 must be finite"),
+        ("10:00:00,0,100.0,1,99.0,1,nan,1", MalformedRow,
+         "AskPrice1 must be finite"),
         ("10:00:00,0,100.0,1,99.0,1,98.0,1", MalformedRow,
          "crossed book: AskPrice1 < BidPrice1"),
         ("09:00:00,0,100.0,1,99.0,1,110.0,1", NonMonotoneTimestamp,

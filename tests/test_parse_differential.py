@@ -14,6 +14,7 @@ from quantrange.market_data import TICK_FIELDS, parse_ticks, resample
 # not at all; "1_0" and "٣" parse in Python but not in numpy, and the long
 # number is cut short where np.loadtxt reads UpdateTime as bytes
 BAD_CELLS = ["x", "", "1.5", "1e3", "1_0", "٣", " 7 ", "-0", "nan", "inf",
+             "-inf", "NaN", "Infinity",
              "1:2", "12:00:00.5", "9:30", "+4", "0x1", "1,5",
              "1" + "0" * 25 + ".5"]
 
@@ -93,10 +94,7 @@ def test_matches_row_parser(stream, interval):
     assert got[1].dropped_rows == dropped
     assert ticks.dtype == ref.TICK_DTYPE
     assert ticks.tobytes() == ref.tick_array(records).tobytes()
-    # resample's contract: finite prices and timestamps, in time order
-    finite = np.isfinite(ticks.timestamp).all() \
-        and np.isfinite(ticks.last_price).all()
-    if not records or not finite:
+    if not records:
         return
     bars = resample(ticks, interval)
     assert bars.tobytes() == ref.bar_array(ref.resample(records, interval)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from quantrange.models import (
     LinearSpec,
     MLPSpec,
     ModelSpec,
+    ParameterSet,
     QuantileLevels,
     TrainConfig,
     forward,
@@ -14,6 +17,7 @@ from quantrange.models import (
     train,
 )
 from quantrange.models import training
+from quantrange.models.checkpoint import load_checkpoint, save_checkpoint
 from quantrange.models.network import loss_value
 
 # the linear kind's schedule: one full batch per epoch, step lr/sqrt(1 + t)
@@ -149,3 +153,80 @@ class TestEveryKind:
         assert len(batch_losses) == 6      # 3 batches of <= 8 per epoch
         assert history[1:] == [sum(batch_losses[:3]) / 3,
                                sum(batch_losses[3:]) / 3]
+
+
+# sha256 of params.flat after the train() run in test_training_bits_locked,
+# recorded with the per-array optimizer and the 3-D layer formulation
+# (numpy 2.4, OpenBLAS 0.3.31, x86-64). The golden test checks metrics to
+# 1e-9; this checks every bit. On another numpy/BLAS build the BLAS
+# kernels, and so the bits, may differ: re-record the constants there.
+LOCKED_FLAT_SHA256 = {
+    "sgd": "59392c9ee5861ca0ac3a052474388ec37767938d2d44a71c41e8c4e740a9017c",
+    "momentum":
+        "476f5715b2376ea9222c532e512de28da7d5382679083ab76cbc231a36342c73",
+    "adam": "e65561b5fc9aabb7f4ef4a066b90e8c4f3ae91b31d7ba4d9421a8545c7cfe09a",
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(LOCKED_FLAT_SHA256))
+def test_training_bits_locked(optimizer):
+    rng = np.random.default_rng(20)
+    x, y = rng.uniform(0, 1, (100, 5, 1)), rng.uniform(0, 1, 100)
+    # dropout, an even kernel width and a clip that triggers
+    spec = ModelSpec(num_blocks=2, num_heads=2, key_dim=4, conv_kernel=2,
+                     dropout_rate=0.1)
+    params, _ = train(spec, x, y, TrainConfig(
+        learning_rate=0.01, epochs=3, batch_size=16, seed=5,
+        optimizer=optimizer, lr_decay=0.9, gradient_clip=0.5))
+    digest = hashlib.sha256(params.flat.tobytes()).hexdigest()
+    assert digest == LOCKED_FLAT_SHA256[optimizer]
+
+
+class TestParameterSet:
+    def params(self):
+        return init_params(ModelSpec(num_blocks=1),
+                           np.random.default_rng(4))
+
+    def test_arrays_are_views_of_flat_in_order(self):
+        params = self.params()
+        assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+        assert np.array_equal(params.flat, np.concatenate(
+            [a.ravel() for a in params.arrays.values()]))
+        for name, a in params.arrays.items():
+            assert a.base is params.flat, name
+        params.flat[:] = 3.0
+        assert all((a == 3.0).all() for a in params.arrays.values())
+
+    def test_construction_copies(self):
+        arrays = {"w": np.ones((2, 3)), "b": np.zeros(3)}
+        params = ParameterSet(arrays)
+        params.flat[:] = 7.0
+        assert (arrays["w"] == 1.0).all() and (arrays["b"] == 0.0).all()
+
+    def test_copy_is_independent(self):
+        params = self.params()
+        twin = params.copy()
+        assert np.array_equal(twin.flat, params.flat)
+        twin.flat += 1.0
+        assert not np.shares_memory(twin.flat, params.flat)
+        assert np.array_equal(params.flat + 1.0, twin.flat)
+        for name, a in twin.arrays.items():
+            assert a.base is twin.flat, name
+
+    def test_load_checkpoint_is_flat_backed(self, tmp_path):
+        spec = ModelSpec(num_blocks=1)
+        params = self.params()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, "futurequant", spec, params)
+        _, _, back = load_checkpoint(path)
+        assert np.array_equal(back.flat, params.flat)
+        for name, a in back.arrays.items():
+            assert a.base is back.flat and a.flags.writeable, name
+
+    def test_all_finite_sees_every_array(self):
+        params = self.params()
+        assert params.all_finite()
+        for name in params.arrays:
+            broken = params.copy()
+            broken[name].flat[-1] = np.nan
+            assert not broken.all_finite(), name
