@@ -45,7 +45,8 @@ def _require(path: str) -> str:
 
 def _indexed_tsv(values) -> str:
     """One "index<TAB>value" row per value, floats in repr form."""
-    return "\n".join(f"{i}\t{float(v)!r}" for i, v in enumerate(values)) + "\n"
+    cells = map(repr, np.asarray(values, dtype=float).tolist())
+    return "\n".join(f"{i}\t{v}" for i, v in enumerate(cells)) + "\n"
 
 
 def cmd_synth(cfg: RunConfig) -> None:
@@ -143,12 +144,10 @@ def _eval_forecast(cfg: RunConfig, spec, params):
 def _write_forecast_table(cfg: RunConfig, kind: str, ds, forecast, actuals):
     levels = forecast.levels.levels
     header = "timestamp\tactual\t" + "\t".join(f"q{lv}" for lv in levels)
-    lines = [header]
     times = ds.target_times if ds.target_times is not None \
         else np.arange(len(actuals))
-    for t, a, row in zip(times, actuals, forecast.values):
-        cells = "\t".join(repr(float(v)) for v in row)
-        lines.append(f"{float(t)!r}\t{float(a)!r}\t{cells}")
+    rows = np.column_stack([times, actuals, forecast.values])
+    lines = [header, *("\t".join(map(repr, row)) for row in rows.tolist())]
     atomic_write_text(_out(cfg, f"forecast-{kind}.tsv"),
                       "\n".join(lines) + "\n")
 

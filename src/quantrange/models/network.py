@@ -17,6 +17,7 @@ minimize the same mean pinball objective:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -100,15 +101,17 @@ class MLPSpec:
 
 class ParameterSet:
     """Named arrays, copied on construction into one float64 vector `flat`
-    of which each named array is then a view, in order."""
+    of which each named array is then a view, in order. `arrays` is
+    read-only; write in place: `params.arrays[name][...] = value`."""
 
     def __init__(self, arrays: dict[str, np.ndarray]):
         self.flat = np.concatenate(
             [np.zeros(0), *(a.ravel() for a in arrays.values())])
-        self.arrays, offset = {}, 0
+        views, offset = {}, 0
         for name, a in arrays.items():
-            self.arrays[name] = self.flat[offset:offset + a.size].reshape(a.shape)
+            views[name] = self.flat[offset:offset + a.size].reshape(a.shape)
             offset += a.size
+        self.arrays = MappingProxyType(views)
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.arrays)
@@ -164,8 +167,8 @@ def _head_backward(head, caches, dout, grads, input_grad: bool):
     return dy
 
 
-def _dense_forward(spec, params, x, mode, rng):
-    """The head alone, on (N, P) inputs or (N, T, F) windows flattened."""
+def _dense_inputs(spec, x):
+    """(N, P) inputs, or (N, T, F) windows flattened to them."""
     x = np.asarray(x, dtype=float)
     shape = x.shape
     if x.ndim == 3:
@@ -174,6 +177,11 @@ def _dense_forward(spec, params, x, mode, rng):
         raise ShapeMismatch(
             f"expected {spec.num_inputs} input values per sample, "
             f"got input {shape}")
+    return x
+
+
+def _dense_forward(spec, params, x, mode, rng):
+    """The head alone, on (N, P) inputs."""
     signature: list[np.ndarray] = []
     out, caches = _head_forward(spec.head, params, x, signature)
     return out, caches, signature
@@ -257,13 +265,17 @@ def encoder_block(
     return y[0] if squeeze else y
 
 
-def _encoder_forward(spec: ModelSpec, params, x, mode, rng):
+def _encoder_inputs(spec: ModelSpec, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != spec.window_in or x.shape[2] != spec.num_features:
         raise ShapeMismatch(
             f"expected input (N, {spec.window_in}, {spec.num_features}), "
             f"got {x.shape}"
         )
+    return x
+
+
+def _encoder_forward(spec: ModelSpec, params, x, mode, rng):
     p = params
     signature: list[np.ndarray] = []
     caches: dict = {}
@@ -297,12 +309,14 @@ def _encoder_backward(spec: ModelSpec, caches: dict, dout: np.ndarray) -> dict:
 @dataclass(frozen=True)
 class ModelKind:
     """A model kind: its spec class, the parameter shapes of a spec, the
+    input check (spec, x) -> x as a float array or ShapeMismatch, the
     forward pass (spec, params, x, mode, rng) -> (outputs (N, Q), caches,
     ReLU masks), the backward pass (spec, caches, dout) -> grads, and the
     training settings the kind imposes on a TrainConfig."""
 
     spec_class: type
     parameter_shapes: Callable
+    inputs: Callable
     forward_raw: Callable
     backward_raw: Callable
     train_config: Callable = lambda config: config
@@ -316,12 +330,13 @@ def _linear_training(config):
 
 
 KINDS = {
-    "futurequant": ModelKind(ModelSpec, _encoder_shapes, _encoder_forward,
-                             _encoder_backward),
-    "quantile-linear": ModelKind(LinearSpec, _head_shapes, _dense_forward,
-                                 _dense_backward, _linear_training),
-    "quantile-mlp": ModelKind(MLPSpec, _head_shapes, _dense_forward,
-                              _dense_backward),
+    "futurequant": ModelKind(ModelSpec, _encoder_shapes, _encoder_inputs,
+                             _encoder_forward, _encoder_backward),
+    "quantile-linear": ModelKind(LinearSpec, _head_shapes, _dense_inputs,
+                                 _dense_forward, _dense_backward,
+                                 _linear_training),
+    "quantile-mlp": ModelKind(MLPSpec, _head_shapes, _dense_inputs,
+                              _dense_forward, _dense_backward),
 }
 
 _BY_SPEC = {kind.spec_class: kind for kind in KINDS.values()}
@@ -348,54 +363,55 @@ def zero_params(spec) -> ParameterSet:
     )
 
 
-def forward_raw(
-    spec,
-    params: ParameterSet,
-    x: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-):
+def forward_raw(spec, params: ParameterSet, x: np.ndarray, mode: str = "eval",
+                rng: np.random.Generator | None = None):
     """Full forward pass of any kind. Returns (outputs (N, Q), caches,
     signature) where the signature lists the boolean activation patterns
     of every ReLU (used by the gradient checker to detect kink crossings)."""
-    return _BY_SPEC[type(spec)].forward_raw(spec, params, x, mode, rng)
+    kind = _BY_SPEC[type(spec)]
+    return kind.forward_raw(spec, params, kind.inputs(spec, x), mode, rng)
 
 
 def backward_raw(spec, caches, dout: np.ndarray) -> dict:
     return _BY_SPEC[type(spec)].backward_raw(spec, caches, dout)
 
 
-def forward(
-    spec,
-    params: ParameterSet,
-    x: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> QuantileForecast:
+INFER_CHUNK = 256   # windows per eval-mode forward_raw call
+
+
+def _eval_forward(spec, params, x, keep_masks: bool = False):
+    """Eval-mode outputs (N, Q) of forward_raw, and its ReLU masks if asked,
+    computed INFER_CHUNK windows at a time. Chunk sizes differ by at most
+    one, so no chunk is one window when N > INFER_CHUNK (BLAS may sum a
+    one-row product in another order); every other op is row-wise, so the
+    results have the bits of one full-batch call."""
+    x = _BY_SPEC[type(spec)].inputs(spec, x)
+    parts = []
+    for part in np.array_split(x, -(-len(x) // INFER_CHUNK) or 1):
+        out, caches, masks = forward_raw(spec, params, part)
+        del caches      # freed before the next chunk runs
+        parts.append([out, *masks] if keep_masks else [out])
+    out, *masks = (np.concatenate(column) for column in zip(*parts))
+    return out, masks
+
+
+def forward(spec, params: ParameterSet, x: np.ndarray) -> QuantileForecast:
     """Predict quantile values (normalized units) for a batch of windows."""
-    out, _, _ = forward_raw(spec, params, x, mode, rng)
+    out, _ = _eval_forward(spec, params, x)
     return QuantileForecast(values=out, levels=spec.levels)
 
 
-def _pack_signature(signature, residual_signs) -> bytes:
-    chunks = [np.packbits(m.ravel()).tobytes() for m in signature]
-    chunks.append(np.packbits(residual_signs.ravel()).tobytes())
-    return b"".join(chunks)
-
-
-def loss_value(
-    spec,
-    params: ParameterSet,
-    x: np.ndarray,
-    y: np.ndarray,
-    loss: str = "pinball",
-) -> tuple[float, bytes]:
+def loss_value(spec, params: ParameterSet, x: np.ndarray, y: np.ndarray,
+               loss: str = "pinball") -> tuple[float, bytes]:
     """Eval-mode loss plus the kink signature of the evaluation point."""
     loss_fn, _ = LOSSES[loss]
-    out, _, signature = forward_raw(spec, params, x, mode="eval")
-    value = float(loss_fn(out, np.asarray(y, dtype=float), spec.levels.levels))
-    residual_signs = out >= np.asarray(y, dtype=float)[:, None]
-    return value, _pack_signature(signature, residual_signs)
+    y = np.asarray(y, dtype=float)
+    out, masks = _eval_forward(spec, params, x, keep_masks=True)
+    value = float(loss_fn(out, y, spec.levels.levels))
+    # each ReLU's activation pattern, then the residual signs, bit-packed
+    signature = b"".join(np.packbits(m.ravel()).tobytes()
+                         for m in [*masks, out >= y[:, None]])
+    return value, signature
 
 
 def loss_and_grads(

@@ -182,7 +182,7 @@ class TestForward:
     def test_zero_params_collapse_to_output_bias(self):
         spec = ModelSpec(num_blocks=2)
         params = zero_params(spec)
-        params.arrays["out_b"] = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        params.arrays["out_b"][...] = [1.0, 2.0, 3.0, 4.0, 5.0]
         out = forward(spec, params, np.random.default_rng(7).standard_normal((4, 5, 1)))
         assert np.allclose(out.values, np.tile([1, 2, 3, 4, 5], (4, 1)))
 

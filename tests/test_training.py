@@ -197,6 +197,14 @@ class TestParameterSet:
         params.flat[:] = 3.0
         assert all((a == 3.0).all() for a in params.arrays.values())
 
+    def test_arrays_cannot_be_rebound(self):
+        params = self.params()
+        with pytest.raises(TypeError):
+            params.arrays["out_b"] = np.ones(5)
+        params.arrays["out_b"][...] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert np.array_equal(params.flat[-5:], [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert params.arrays["out_b"].base is params.flat
+
     def test_construction_copies(self):
         arrays = {"w": np.ones((2, 3)), "b": np.zeros(3)}
         params = ParameterSet(arrays)
