@@ -3,7 +3,6 @@ horizon summaries, and the fixed-capital scenario test."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -13,14 +12,11 @@ from .errors import AlignmentError, RuinousReturn
 from .indicators import IndicatorConfig, atr_percent, rsi
 from .models.forecast import QuantileForecast
 from .strategy import (
-    PositionState,
-    Side,
-    Signal,
-    SignalKind,
     StrategyConfig,
     Trade,
-    generate_signal,
+    generate_signal,    # perfbench/tracing.py still wraps this name
     positions_from_signals,
+    signals,
 )
 
 DRAWDOWN_COUNT_THRESHOLD = 0.001
@@ -75,25 +71,23 @@ def scenario_test(initial_funds: float, period_return: float) -> float:
     return initial_funds * (1.0 + period_return)
 
 
-_UNITS = {Side.FLAT: 0, Side.LONG: 1, Side.SHORT: -1}
-
-
 def equity_from_positions(
     bars: np.recarray,
-    positions: Sequence[PositionState],
+    held: Sequence[int],
     initial_capital: float,
     transaction_cost: float = 0.0,
 ) -> EquityCurve:
-    """Cash/position accounting for a one-unit position sequence.
+    """Cash/position accounting for the units held during each bar
+    (+1 long, -1 short, 0 flat).
 
     Fills happen at the bar open where the position changes; equity is
     marked to market at each close; any open position force-closes at the
     final close. equity[0] is the initial capital, before the first bar.
     """
     n = len(bars)
-    if len(positions) != n:
-        raise AlignmentError(f"{n} bars vs {len(positions)} positions")
-    held = np.array([_UNITS[p.side] for p in positions], dtype=np.int64)
+    if len(held) != n:
+        raise AlignmentError(f"{n} bars vs {len(held)} positions")
+    held = np.asarray(held, dtype=np.int64)
     change = np.diff(held, prepend=0)   # units bought (+) or sold (-)
     fills = np.where(change != 0,
                      change * bars.open + np.abs(change) * transaction_cost,
@@ -115,8 +109,8 @@ class BacktestResult:
     equity_curve: EquityCurve
     drawdown_stats: DrawdownStats
     trades: list[Trade]
-    positions: list[PositionState]
-    signals: list[Signal]
+    held: np.ndarray          # units held during each bar
+    signals: np.recarray      # per-bar `kind` and `reason` (strategy.signals)
     summary: dict[str, float] = field(default_factory=dict)
 
 
@@ -140,31 +134,19 @@ def run_backtest(
         raise AlignmentError(
             f"{n} bars vs {forecast.values.shape[0]} forecast rows"
         )
-    closes, opens = bars.close, bars.open
+    closes = bars.close
     rsi_series = rsi(closes, indicator_cfg.rsi_period)
     atr_series = atr_percent(bars, indicator_cfg.atr_period)
-    lower_idx = forecast.levels.index_of(0.05)
-    upper_idx = forecast.levels.index_of(0.95)
+    lower_band = forecast.values[:, forecast.levels.index_of(0.05)]
+    upper_band = forecast.values[:, forecast.levels.index_of(0.95)]
 
-    signals: list[Signal] = []
-    for i in range(n):
-        lower_band = float(forecast.values[i, lower_idx])
-        upper_band = float(forecast.values[i, upper_idx])
-        if not math.isfinite(lower_band):
-            signals.append(Signal(SignalKind.NONE, "no-forecast"))
-            continue
-        signals.append(generate_signal(
-            price=closes[i],
-            atr_pct=atr_series[i],
-            lower_band=lower_band,
-            rsi=rsi_series[i],
-            config=indicator_cfg,
-            upper_band=upper_band,
-            sell_vs_upper_band=strategy_cfg.sell_vs_upper_band,
-        ))
+    bar_signals = signals(closes, atr_series, lower_band, upper_band,
+                          rsi_series, indicator_cfg,
+                          strategy_cfg.sell_vs_upper_band)
+    bar_signals.reason[~np.isfinite(lower_band)] = "no-forecast"
 
-    positions, trades = positions_from_signals(signals, list(opens), strategy_cfg)
-    curve = equity_from_positions(bars, positions, initial_capital,
+    held, trades = positions_from_signals(bar_signals.kind, bars.open, closes)
+    curve = equity_from_positions(bars, held, initial_capital,
                                   strategy_cfg.transaction_cost)
     dd = drawdown(curve.equity)
 
@@ -183,14 +165,9 @@ def run_backtest(
         mean_bar_return = (1.0 + per_bar) ** (1.0 / max(n, 1)) - 1.0
         summary[f"cumulative_return_{name}"] = \
             (1.0 + mean_bar_return) ** length - 1.0
-    return BacktestResult(
-        equity_curve=curve,
-        drawdown_stats=dd,
-        trades=trades,
-        positions=positions,
-        signals=signals,
-        summary=summary,
-    )
+    return BacktestResult(equity_curve=curve, drawdown_stats=dd,
+                          trades=trades, held=held, signals=bar_signals,
+                          summary=summary)
 
 
 def summary_text(result: BacktestResult) -> str:

@@ -27,6 +27,7 @@ from .models import (
     save_checkpoint,
     train,
 )
+from .strategy import REASONS
 from .synthetic import generate, to_tick_text
 
 train_linear = train    # perfbench/tracing.py still wraps this name
@@ -193,6 +194,9 @@ def cmd_backtest(cfg: RunConfig) -> None:
         _out(cfg, f"equity-{kind}.svg"),
         svg.polyline_chart({"equity": equity}, title=f"equity ({kind})"),
     )
+    counts = dict(zip(*np.unique(result.signals.reason, return_counts=True)))
+    reasons = ", ".join(f"{counts[r]} {r}" for r in REASONS if r in counts)
+    print(f"signals: {reasons}; {len(result.trades)} trades")
     print(bt.summary_text(result), end="")
 
 

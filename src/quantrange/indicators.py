@@ -1,9 +1,9 @@
 """Technical indicators and distribution-shape estimates.
 
-RSI and ATR use Wilder smoothing. Bands come straight from the five
-forecast quantiles, and skewness/kurtosis are fitted to those quantiles by
-linear least squares on a Cornish-Fisher-style polynomial basis in the
-standard normal quantile z.
+RSI and ATR use Wilder smoothing. Skewness/kurtosis are fitted to the
+five forecast quantiles by linear least squares on a Cornish-Fisher-style
+polynomial basis in the standard normal quantile z. The strategy reads
+its bands straight from the forecast's 0.05 and 0.95 columns.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientData, MissingLevel
-from .models.forecast import DEFAULT_LEVELS, QuantileForecast
+from .models.forecast import DEFAULT_LEVELS
 
 
 @dataclass(frozen=True)
@@ -33,21 +33,6 @@ class IndicatorConfig:
             raise ValueError("need 0 < atr_low < atr_high")
         if self.threshold <= 0.0:
             raise ValueError("threshold must be positive")
-
-
-@dataclass(frozen=True)
-class BandSet:
-    upper: float          # level 0.95
-    upper_inner: float    # level 0.90
-    middle: float         # level 0.50
-    lower_inner: float    # level 0.10
-    lower: float          # level 0.05
-
-    def __post_init__(self):
-        ordered = (self.lower, self.lower_inner, self.middle,
-                   self.upper_inner, self.upper)
-        if any(b < a for a, b in zip(ordered, ordered[1:])):
-            raise ValueError("band fields must be monotone")
 
 
 @dataclass(frozen=True)
@@ -110,20 +95,6 @@ def atr_percent(bars: np.recarray, period: int = 14) -> np.ndarray:
         atr = (atr * (period - 1) + tr[i]) / period
         out[i] = atr / closes[i]
     return out
-
-
-def bands_from_forecast(forecast: QuantileForecast, sample_index: int) -> BandSet:
-    """Map the five default levels of one forecast row onto a BandSet."""
-    levels = forecast.levels
-    indices = [levels.index_of(lv) for lv in DEFAULT_LEVELS]
-    row = forecast.values[sample_index]
-    lo, lo_in, mid, up_in, up = (row[i] for i in indices)
-    if not (lo <= lo_in <= mid <= up_in <= up):
-        raise ValueError(
-            f"forecast row {sample_index} is not monotone; repair it first"
-        )
-    return BandSet(upper=up, upper_inner=up_in, middle=mid,
-                   lower_inner=lo_in, lower=lo)
 
 
 def shape_from_quantiles(

@@ -85,8 +85,8 @@ def softmax(x):
 
 # --- multi-head attention ---
 
-def split_heads(x, n: int, num_heads: int):  # (N*T, d) -> (N, h, T, d/h)
-    shape = (n, x.shape[0] // n, num_heads, x.shape[1] // num_heads)
+def split_heads(x, n: int, t: int, h: int):  # (N*T, d) -> (N, h, T, d/h)
+    shape = (n, t, h, x.shape[1] // h)
     return x.reshape(shape).transpose(0, 2, 1, 3)
 
 
@@ -105,9 +105,9 @@ def mha_forward(x, wq, wk, wv, wo, num_heads: int):
         )
     dk = d // num_heads
     xf = x.reshape(n * t, d)
-    q = split_heads(xf @ wq, n, num_heads)   # (N, h, T, dk)
-    k = split_heads(xf @ wk, n, num_heads)
-    v = split_heads(xf @ wv, n, num_heads)
+    q = split_heads(xf @ wq, n, t, num_heads)   # (N, h, T, dk)
+    k = split_heads(xf @ wk, n, t, num_heads)
+    v = split_heads(xf @ wv, n, t, num_heads)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
     attn = softmax(scores)                   # (N, h, T, T)
     heads = attn @ v                         # (N, h, T, dk)
@@ -124,7 +124,7 @@ def mha_backward(cache, dy):
 
     dyf = dy.reshape(n * t, d)
     dwo = concat.T @ dyf
-    dheads = split_heads(dyf @ wo.T, n, num_heads)   # (N, h, T, dk)
+    dheads = split_heads(dyf @ wo.T, n, t, num_heads)   # (N, h, T, dk)
 
     dattn = dheads @ v.transpose(0, 1, 3, 2)          # (N, h, T, T)
     dv = attn.transpose(0, 1, 3, 2) @ dheads

@@ -1,11 +1,13 @@
-"""Signal generation from the printed decision tree, and the fold that
-turns a signal sequence into positions and a trade log."""
+"""Signal generation from the printed decision tree, as one table of
+masks, and the fold that turns per-bar signals into held units and a
+trade log."""
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .indicators import IndicatorConfig
 
@@ -29,18 +31,6 @@ class Side(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PositionState:
-    side: Side
-    entry_price: float | None = None
-    entry_index: int | None = None
-
-    def __post_init__(self):
-        has_entry = self.entry_price is not None and self.entry_index is not None
-        if (self.side is Side.FLAT) == has_entry:
-            raise ValueError("entry fields present iff side is not Flat")
-
-
-@dataclass(frozen=True)
 class Trade:
     side: Side
     entry_index: int
@@ -60,76 +50,93 @@ class StrategyConfig:
     transaction_cost: float = 0.0      # per unit traded, currency
 
 
-def generate_signal(
-    price: float,
-    atr_pct: float,
-    lower_band: float,
-    rsi: float,
-    config: IndicatorConfig = IndicatorConfig(),
-    upper_band: float | None = None,
-    sell_vs_upper_band: bool = False,
-) -> Signal:
-    """Over-sold buy / over-bought sell, gated by the ATR volatility band.
+# every reason a bar's signal can carry: "no-forecast" (set by the backtest
+# where a bar has no forecast), then the tree's leaves in printed order
+REASONS = ("no-forecast", "non-finite-input", "oversold", "atr-out-of-band",
+           "price-above-band", "overbought", "price-below-band",
+           "rsi-neutral")
+SIGNAL_DTYPE = np.dtype([("kind", np.int8),
+                         ("reason", f"U{max(map(len, REASONS))}")])
+_SIGNAL_KINDS = {1: SignalKind.BUY, -1: SignalKind.SELL, 0: SignalKind.NONE}
+
+
+def signals(price, atr_pct, lower_band, upper_band, rsi,
+            config: IndicatorConfig = IndicatorConfig(),
+            sell_vs_upper_band: bool = False) -> np.recarray:
+    """Over-sold buy / over-bought sell, gated by the ATR volatility band,
+    for every bar at once. Returns a record array of int8 `kind` (+1 buy,
+    -1 sell, 0 none) and the `reason` of the leaf each bar reached.
 
     The sell branch compares price against the lower band by default;
-    sell_vs_upper_band switches it to the upper band (upper_band required).
+    sell_vs_upper_band switches it to the upper band.
     """
-    if not all(math.isfinite(v) for v in (price, atr_pct, lower_band, rsi)):
-        return Signal(SignalKind.NONE, "non-finite-input")
-    atr_in_band = config.atr_low <= atr_pct < config.atr_high
-    if rsi < 30.0:
-        if price < config.threshold * lower_band:
-            if atr_in_band:
-                return Signal(SignalKind.BUY, "oversold")
-            return Signal(SignalKind.NONE, "atr-out-of-band")
-        return Signal(SignalKind.NONE, "price-above-band")
-    if rsi > 70.0:
-        band = lower_band
-        if sell_vs_upper_band:
-            if upper_band is None:
-                raise ValueError("sell_vs_upper_band requires upper_band")
-            band = upper_band
-        if price > config.threshold * band:
-            if atr_in_band:
-                return Signal(SignalKind.SELL, "overbought")
-            return Signal(SignalKind.NONE, "atr-out-of-band")
-        return Signal(SignalKind.NONE, "price-below-band")
-    return Signal(SignalKind.NONE, "rsi-neutral")
+    price, atr_pct, lower_band, upper_band, rsi = (
+        np.asarray(v, dtype=float)
+        for v in (price, atr_pct, lower_band, upper_band, rsi))
+    finite = (np.isfinite(price) & np.isfinite(atr_pct)
+              & np.isfinite(lower_band) & np.isfinite(rsi))
+    atr_in_band = (config.atr_low <= atr_pct) & (atr_pct < config.atr_high)
+    oversold, overbought = rsi < 30.0, rsi > 70.0
+    below = price < config.threshold * lower_band
+    sell_band = upper_band if sell_vs_upper_band else lower_band
+    above = price > config.threshold * sell_band
+    # (condition, kind, reason): the first true condition picks the leaf,
+    # and a bar that meets none is rsi-neutral
+    leaves = [
+        (~finite, 0, "non-finite-input"),
+        (oversold & below & atr_in_band, 1, "oversold"),
+        (oversold & below, 0, "atr-out-of-band"),
+        (oversold, 0, "price-above-band"),
+        (overbought & above & atr_in_band, -1, "overbought"),
+        (overbought & above, 0, "atr-out-of-band"),
+        (overbought, 0, "price-below-band"),
+    ]
+    conditions, kinds, reasons = zip(*leaves)
+    leaf = np.select(conditions, list(range(len(leaves))), default=len(leaves))
+    out = np.recarray(leaf.shape, dtype=SIGNAL_DTYPE)
+    out.kind = np.array([*kinds, 0], dtype=np.int8)[leaf]
+    out.reason = np.array([*reasons, "rsi-neutral"])[leaf]
+    return out
+
+
+def generate_signal(price: float, atr_pct: float, lower_band: float,
+                    rsi: float, config: IndicatorConfig = IndicatorConfig(),
+                    upper_band: float | None = None,
+                    sell_vs_upper_band: bool = False) -> Signal:
+    """The signal of one bar (see `signals`); sell_vs_upper_band requires
+    upper_band."""
+    if sell_vs_upper_band and upper_band is None:
+        raise ValueError("sell_vs_upper_band requires upper_band")
+    band = np.nan if upper_band is None else upper_band
+    row = signals([price], [atr_pct], [lower_band], [band], [rsi], config,
+                  sell_vs_upper_band)[0]
+    return Signal(_SIGNAL_KINDS[int(row.kind)], str(row.reason))
 
 
 def positions_from_signals(
-    signals: list[Signal],
-    prices: list[float],
-    config: StrategyConfig = StrategyConfig(),
-) -> tuple[list[PositionState], list[Trade]]:
-    """Fold signals into a per-bar position sequence (one unit, no
-    pyramiding). A signal at bar i fills at bar i+1's price; an opposite
-    signal closes then reverses; the final bar force-closes.
+        kinds, opens, closes) -> tuple[np.ndarray, list[Trade]]:
+    """Fold per-bar signal kinds into the units held during each bar (one
+    unit, no pyramiding) and the trade log. A signal at bar i fills at bar
+    i+1's open; an opposite signal closes then reverses; an open position
+    force-closes at the final bar's close.
 
-    prices are the fill prices (bar opens); positions[i] is the state held
-    during bar i. Returns the position sequence and the trade log.
+    held[i] is the last non-zero kind before bar i (0 until the first).
     """
-    n = len(signals)
-    if n != len(prices):
-        raise ValueError(f"{n} signals vs {len(prices)} prices")
-    flat = PositionState(Side.FLAT)
-    positions: list[PositionState] = []
-    trades: list[Trade] = []
-    state = flat
-    for i in range(n):
-        desired = signals[i - 1].kind if i > 0 else SignalKind.NONE
-        if desired is SignalKind.BUY and state.side is not Side.LONG:
-            if state.side is Side.SHORT:
-                trades.append(Trade(state.side, state.entry_index, i,
-                                    state.entry_price, prices[i]))
-            state = PositionState(Side.LONG, prices[i], i)
-        elif desired is SignalKind.SELL and state.side is not Side.SHORT:
-            if state.side is Side.LONG:
-                trades.append(Trade(state.side, state.entry_index, i,
-                                    state.entry_price, prices[i]))
-            state = PositionState(Side.SHORT, prices[i], i)
-        positions.append(state)
-    if state.side is not Side.FLAT:
-        trades.append(Trade(state.side, state.entry_index, n - 1,
-                            state.entry_price, prices[n - 1]))
-    return positions, trades
+    kinds = np.asarray(kinds, dtype=np.int8)
+    opens, closes = (np.asarray(a, dtype=float) for a in (opens, closes))
+    n = len(kinds)
+    if not n == len(opens) == len(closes):
+        raise ValueError(f"{n} signals vs {len(opens)} opens "
+                         f"and {len(closes)} closes")
+    before = np.zeros(n, dtype=np.int8)   # before[i]: the signal at bar i-1
+    before[1:] = kinds[:-1]
+    last = np.maximum.accumulate(np.where(before != 0, np.arange(n), 0))
+    held = before[last]
+    # every change opens a position; the next change, or the end, closes it
+    starts = np.flatnonzero(np.diff(held, prepend=0))
+    ends = np.append(starts[1:], n - 1)
+    exits = np.append(opens[starts[1:]], closes[-1:])
+    trades = [Trade(Side.LONG if held[s] > 0 else Side.SHORT, int(s), int(e),
+                    float(opens[s]), float(x))
+              for s, e, x in zip(starts, ends, exits)]
+    return held, trades

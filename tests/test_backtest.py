@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantrange import backtest
 from quantrange.backtest import (
     cumulative_return,
     drawdown,
@@ -8,11 +9,14 @@ from quantrange.backtest import (
     run_backtest,
     scenario_test,
 )
+from quantrange.cli import main
 from quantrange.errors import AlignmentError, RuinousReturn
 from quantrange.indicators import IndicatorConfig
 from quantrange.market_data import BAR_DTYPE
 from quantrange.models import QuantileForecast, QuantileLevels
-from quantrange.strategy import PositionState, Side, StrategyConfig
+from quantrange.strategy import Side, StrategyConfig
+from test_acceptance import ACCEPTANCE_CONFIG
+from test_golden import BACKTEST_INDICATORS
 
 
 class TestCumulativeReturn:
@@ -79,49 +83,36 @@ class TestEquityFromPositions:
             bar(30, 100, 101, 99, 101),
             bar(60, 101, 103, 100, 102),
         ])
-        positions = [
-            PositionState(Side.FLAT),
-            PositionState(Side.LONG, 100.0, 1),
-            PositionState(Side.LONG, 100.0, 1),
-        ]
-        curve = equity_from_positions(bars, positions, 100.0)
+        curve = equity_from_positions(bars, np.array([0, 1, 1], np.int8), 100.0)
         assert list(curve.equity) == [100.0, 100.0, 101.0, 102.0]
         assert curve.final / curve.initial - 1.0 == pytest.approx(0.02)
 
     def test_short_gains_when_price_falls(self):
         bars = bar_array([bar(0, 100, 100, 99, 100),
                           bar(30, 100, 100, 95, 96)])
-        positions = [
-            PositionState(Side.FLAT),
-            PositionState(Side.SHORT, 100.0, 1),
-        ]
-        curve = equity_from_positions(bars, positions, 1000.0)
+        curve = equity_from_positions(bars, np.array([0, -1], np.int8), 1000.0)
         assert curve.final == pytest.approx(1004.0)  # sold 100, covered 96
 
     def test_transaction_cost_charged_per_fill(self):
         bars = bar_array([bar(0, 100, 100, 99, 100),
                           bar(30, 100, 101, 99, 100)])
-        positions = [
-            PositionState(Side.FLAT),
-            PositionState(Side.LONG, 100.0, 1),
-        ]
-        free = equity_from_positions(bars, positions, 1000.0, 0.0)
-        costed = equity_from_positions(bars, positions, 1000.0, 0.25)
+        held = np.array([0, 1], np.int8)
+        free = equity_from_positions(bars, held, 1000.0, 0.0)
+        costed = equity_from_positions(bars, held, 1000.0, 0.25)
         # entry fill plus the forced close: two fills at 0.25 each
         assert costed.final == pytest.approx(free.final - 0.5)
 
     def test_flat_sequence_is_constant(self):
         bars = bar_array([bar(30 * i, 100 + i, 101 + i, 99 + i, 100 + i)
                           for i in range(5)])
-        positions = [PositionState(Side.FLAT)] * 5
-        curve = equity_from_positions(bars, positions, 500.0)
+        curve = equity_from_positions(bars, np.zeros(5, np.int8), 500.0)
         assert np.all(curve.equity == 500.0)
         assert np.all(curve.returns == 0.0)
 
     def test_alignment(self):
         with pytest.raises(AlignmentError):
             equity_from_positions(bar_array([bar(0, 1, 1, 1, 1)]),
-                                  [PositionState(Side.FLAT)] * 2, 1.0)
+                                  np.zeros(2, np.int8), 1.0)
 
 
 def trending_bars(n, start=100.0, step=0.0, wiggle=0.5):
@@ -185,3 +176,48 @@ class TestRunBacktest:
                               IndicatorConfig(atr_low=0.001, atr_high=0.5))
         recomputed = drawdown(result.equity_curve.equity)
         assert result.summary["max_drawdown"] == recomputed.max_drawdown
+
+
+def assert_trades_add_up(result, initial_capital, transaction_cost):
+    # every trade pays the cost twice: on its entry fill and its exit fill
+    trades = result.trades
+    expected = (initial_capital + sum(t.pnl for t in trades)
+                - 2 * transaction_cost * len(trades))
+    assert result.summary["final_equity"] == pytest.approx(expected, rel=1e-9)
+
+
+class TestTradeLogMatchesEquity:
+    def test_costed_run_ending_in_an_open_position(self):
+        bars = trending_bars(60, start=200.0, step=-1.0, wiggle=1.5)
+        values = np.column_stack([bars.close + off
+                                  for off in (5.0, 6.0, 7.0, 8.0, 9.0)])
+        result = run_backtest(bars, QuantileForecast(values, QuantileLevels()),
+                              IndicatorConfig(atr_low=0.001, atr_high=0.5),
+                              StrategyConfig(transaction_cost=0.25))
+        assert result.held[-1] != 0 and len(result.trades) >= 1
+        assert result.trades[-1].exit_price == bars.close[-1]
+        assert_trades_add_up(result, 1_000_000.0, 0.25)
+
+    def test_golden_trading_backtests(self, tmp_path, monkeypatch):
+        # the golden test's run; at least one backtest ends in a position
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(run_backtest(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(backtest, "run_backtest", recording)
+        out = str(tmp_path / "out")
+        config = tmp_path / "run.ini"
+        config.write_text(ACCEPTANCE_CONFIG)
+        for command in ("synth", "ingest", "compare"):
+            assert main([command, "--config", str(config), "--out", out]) == 0
+        for kind in ("futurequant", "quantile-linear", "quantile-mlp"):
+            config.write_text(
+                ACCEPTANCE_CONFIG.replace("[model]\n", f"[model]\nkind = {kind}\n")
+                + BACKTEST_INDICATORS)
+            assert main(["backtest", "--config", str(config), "--out", out]) == 0
+        assert [len(r.trades) for r in results] == [3, 3, 1]
+        assert any(r.held[-1] != 0 for r in results)
+        for result in results:
+            assert_trades_add_up(result, 1_000_000.0, 0.0)

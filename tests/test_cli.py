@@ -176,6 +176,17 @@ class TestPipeline:
         assert "read 1197 ticks (3 rows dropped), 44 bars (3 forward-filled)" \
             in capsys.readouterr().out.splitlines()
 
+    def test_backtest_prints_signal_counts(self, tmp_path, capsys):
+        source = gapped_tick_csv(tmp_path / "ticks.csv")
+        config = write_config(tmp_path, GAPPED_CONFIG.format(source=source))
+        out = str(tmp_path / "out")
+        for command in ("ingest", "train", "backtest"):
+            assert main([command, "--config", config, "--out", out]) == 0
+        # one line, reasons in the tree's order, zero counts left out
+        assert ("signals: 5 no-forecast, 2 atr-out-of-band, "
+                "3 price-above-band, 1 rsi-neutral; 0 trades"
+                in capsys.readouterr().out.splitlines())
+
     def test_readme_example_has_room_to_trade(self, tmp_path, capsys):
         # 250 bars: the 38-bar test split is longer than the 19-bar warm-up
         config = readme_config(tmp_path, out_dir=tmp_path / "out")

@@ -5,13 +5,11 @@ from quantrange.errors import InsufficientData
 from quantrange.indicators import (
     IndicatorConfig,
     atr_percent,
-    bands_from_forecast,
     rsi,
     shape_from_quantiles,
     true_range,
 )
 from quantrange.market_data import BAR_DTYPE
-from quantrange.models import QuantileForecast, QuantileLevels
 
 # classic worked example for Wilder RSI: the first smoothed value over
 # these closes is 70.53 at index 14
@@ -96,24 +94,6 @@ class TestAtr:
     def test_too_short(self):
         with pytest.raises(InsufficientData):
             atr_percent(bar_array([flat_bar(0, 1.0)] * 5), 14)
-
-
-class TestBands:
-    def test_maps_levels_to_fields(self):
-        f = QuantileForecast(np.array([[9.0, 9.5, 10.0, 10.5, 11.0]]),
-                             QuantileLevels())
-        bands = bands_from_forecast(f, 0)
-        assert bands.lower == 9.0
-        assert bands.lower_inner == 9.5
-        assert bands.middle == 10.0
-        assert bands.upper_inner == 10.5
-        assert bands.upper == 11.0
-
-    def test_crossed_row_rejected(self):
-        f = QuantileForecast(np.array([[11.0, 9.5, 10.0, 10.5, 9.0]]),
-                             QuantileLevels())
-        with pytest.raises(ValueError):
-            bands_from_forecast(f, 0)
 
 
 class TestShapeFit:

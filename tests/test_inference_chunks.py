@@ -58,14 +58,15 @@ def _data(spec, n, seed=0):
     return params, x, rng.uniform(0, 1, n)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", (0, *SIZES))
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_forward_is_bit_equal_to_one_full_batch(kind, n):
+    # zero windows give an empty (0, Q) forecast for every kind
     spec = SPECS[kind]
     params, x, _ = _data(spec, n)
     full, _, _ = forward_raw(spec, params, x)
     values = forward(spec, params, x).values
-    assert values.shape == full.shape
+    assert values.shape == full.shape == (n, len(spec.levels))
     assert values.tobytes() == full.tobytes()
 
 

@@ -1,16 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from quantrange.indicators import IndicatorConfig
 from quantrange.strategy import (
-    PositionState,
+    REASONS,
     Side,
-    Signal,
     SignalKind,
     StrategyConfig,
     generate_signal,
     positions_from_signals,
+    signals,
 )
 
 
@@ -74,34 +75,34 @@ class TestDecisionTable:
         assert sig.reason == "non-finite-input"
 
 
-def sigs(*kinds):
-    return [Signal(k, "test") for k in kinds]
+B, S, N = 1, -1, 0
 
 
-B, S, N = SignalKind.BUY, SignalKind.SELL, SignalKind.NONE
+def fold(kinds, opens, closes=None):
+    """positions_from_signals on bars that close where they open, unless
+    closes are given."""
+    return positions_from_signals(np.array(kinds, dtype=np.int8), opens,
+                                  opens if closes is None else closes)
 
 
 class TestPositionsFromSignals:
     def test_buy_fills_next_bar(self):
-        positions, trades = positions_from_signals(
-            sigs(B, N, N), [10.0, 11.0, 12.0])
-        assert [p.side for p in positions] == [Side.FLAT, Side.LONG, Side.LONG]
-        assert positions[1].entry_price == 11.0
+        held, trades = fold([B, N, N], [10.0, 11.0, 12.0])
+        assert held.tolist() == [0, 1, 1]
+        assert held.dtype == np.int8
+        assert trades[0].entry_price == 11.0
         assert len(trades) == 1
         assert trades[0].pnl == pytest.approx(1.0)  # 12 - 11
 
     def test_no_pyramiding(self):
-        positions, trades = positions_from_signals(
-            sigs(B, B, B, N), [10.0, 11.0, 12.0, 13.0])
-        assert [p.side for p in positions] == \
-            [Side.FLAT, Side.LONG, Side.LONG, Side.LONG]
+        held, trades = fold([B, B, B, N], [10.0, 11.0, 12.0, 13.0])
+        assert held.tolist() == [0, 1, 1, 1]
         assert len(trades) == 1
         assert trades[0].entry_price == 11.0
 
     def test_reversal_closes_then_opens(self):
-        positions, trades = positions_from_signals(
-            sigs(B, S, N), [10.0, 11.0, 12.0])
-        assert [p.side for p in positions] == [Side.FLAT, Side.LONG, Side.SHORT]
+        held, trades = fold([B, S, N], [10.0, 11.0, 12.0])
+        assert held.tolist() == [0, 1, -1]
         assert len(trades) == 2
         long_trade, short_trade = trades
         assert long_trade.side is Side.LONG
@@ -110,34 +111,58 @@ class TestPositionsFromSignals:
         assert short_trade.entry_price == 12.0
 
     def test_short_pnl_sign(self):
-        _, trades = positions_from_signals(sigs(S, N, N), [10.0, 11.0, 9.0])
+        _, trades = fold([S, N, N], [10.0, 11.0, 9.0])
         assert trades[0].side is Side.SHORT
         assert trades[0].pnl == pytest.approx(2.0)  # sold 11, covered 9
 
     def test_all_none_stays_flat(self):
-        positions, trades = positions_from_signals(
-            sigs(N, N, N), [1.0, 2.0, 3.0])
-        assert all(p.side is Side.FLAT for p in positions)
+        held, trades = fold([N, N, N], [1.0, 2.0, 3.0])
+        assert held.tolist() == [0, 0, 0]
         assert trades == []
 
     def test_signal_on_final_bar_never_fills(self):
-        positions, trades = positions_from_signals(sigs(N, B), [1.0, 2.0])
-        assert all(p.side is Side.FLAT for p in positions)
+        held, trades = fold([N, B], [1.0, 2.0])
+        assert held.tolist() == [0, 0]
         assert trades == []
+
+    def test_forced_close_fills_at_final_close(self):
+        # opens 10, 11, 12; the final bar closes at 12.5, as equity marks it
+        held, trades = fold([B, N, N], [10.0, 11.0, 12.0], [10.5, 11.5, 12.5])
+        assert held.tolist() == [0, 1, 1]
+        assert (trades[0].exit_index, trades[0].exit_price) == (2, 12.5)
+
+    def test_no_bars(self):
+        held, trades = fold([], [])
+        assert held.tolist() == [] and trades == []
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            positions_from_signals(sigs(N), [1.0, 2.0])
+            fold([N], [1.0, 2.0])
 
 
-class TestPositionState:
-    def test_flat_rejects_entry_fields(self):
-        with pytest.raises(ValueError):
-            PositionState(Side.FLAT, entry_price=1.0, entry_index=0)
+class TestSignalArrays:
+    def test_one_row_per_bar_in_tree_order(self):
+        # rsi 25, 25, 25, 75, 75, 75, 50, nan: one bar for each leaf
+        price = [95.0, 95.0, 105.0, 105.0, 105.0, 95.0, 100.0, 100.0]
+        atr = [0.02, 0.005, 0.02, 0.02, 0.035, 0.02, 0.02, 0.02]
+        rsi = [25.0, 25.0, 25.0, 75.0, 75.0, 75.0, 50.0, math.nan]
+        out = signals(price, atr, 100.0, 110.0, rsi)
+        assert out.kind.dtype == np.int8
+        assert out.kind.tolist() == [1, 0, 0, -1, 0, 0, 0, 0]
+        assert out.reason.tolist() == [
+            "oversold", "atr-out-of-band", "price-above-band", "overbought",
+            "atr-out-of-band", "price-below-band", "rsi-neutral",
+            "non-finite-input"]
+        assert set(out.reason.tolist()) == set(REASONS) - {"no-forecast"}
 
-    def test_open_requires_entry_fields(self):
-        with pytest.raises(ValueError):
-            PositionState(Side.LONG)
+    def test_records_carry_a_reason_attribute(self):
+        out = signals([95.0, 105.0], 0.02, 100.0, 110.0, 25.0)
+        assert [s.reason for s in out] == ["oversold", "price-above-band"]
+
+    def test_scalar_wrapper_agrees(self):
+        sig = generate_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
+                              rsi=75.0)
+        assert (sig.kind, sig.reason) == (SignalKind.SELL, "overbought")
 
 
 def test_strategy_config_defaults():

@@ -52,3 +52,10 @@ def test_traced_pipeline_counts(tmp_path, tracing):
     assert summary["market_data.resample.bars_filled"] == 3
     for stage in ("ingest", "train", "eval", "backtest"):
         assert summary[f"cli.{stage}.calls"] == 1
+    # the backtest's counters, as recorded at the per-bar object code
+    assert summary["backtest.run_backtest.trades"] == 0
+    reasons = {key.removeprefix("strategy.Signal."): value
+               for key, value in summary.items()
+               if key.startswith("strategy.Signal.")}
+    assert reasons == {"no-forecast": 5, "price-above-band": 3,
+                       "atr-out-of-band": 2, "rsi-neutral": 1}
