@@ -117,10 +117,8 @@ def _train_model(cfg: RunConfig, kind: str, ds: md.WindowedDataset, seed: int):
 
 def _to_price_units(forecast: QuantileForecast,
                     norm: md.NormalizationParams) -> QuantileForecast:
-    scale = float(norm.x_max[0] - norm.x_min[0])
-    offset = float(norm.x_min[0])
-    return QuantileForecast(values=forecast.values * scale + offset,
-                            levels=forecast.levels)
+    return QuantileForecast(md.invert_minmax(forecast.values, norm),
+                            forecast.levels)
 
 
 def cmd_train(cfg: RunConfig) -> None:
@@ -192,7 +190,7 @@ def cmd_backtest(cfg: RunConfig) -> None:
     atomic_write_text(_out(cfg, f"drawdown-{kind}.tsv"), _indexed_tsv(dd))
     atomic_write_text(
         _out(cfg, f"equity-{kind}.svg"),
-        svg.polyline_chart({"equity": equity}, title=f"equity ({kind})"),
+        svg.polyline_chart(equity, "equity", f"equity ({kind})"),
     )
     counts = dict(zip(*np.unique(result.signals.reason, return_counts=True)))
     reasons = ", ".join(f"{counts[r]} {r}" for r in REASONS if r in counts)

@@ -1,9 +1,9 @@
 """Technical indicators and distribution-shape estimates.
 
-RSI and ATR use Wilder smoothing. Skewness/kurtosis are fitted to the
-five forecast quantiles by linear least squares on a Cornish-Fisher-style
-polynomial basis in the standard normal quantile z. The strategy reads
-its bands straight from the forecast's 0.05 and 0.95 columns.
+RSI (over the gains and the losses) and ATR (over the true range) share
+one Wilder smoother. Skewness/kurtosis are fitted to the five forecast
+quantiles by linear least squares on a Cornish-Fisher-style polynomial
+basis in the standard normal quantile z.
 """
 
 from __future__ import annotations
@@ -43,6 +43,18 @@ class ShapeEstimate:
     excess_kurtosis: float
 
 
+def _wilder(values: np.ndarray, period: int) -> np.ndarray:
+    """Wilder's running mean: NaN before index `period`, the plain mean of
+    values[1:period + 1] at it, then (prev * (period - 1) + v) / period."""
+    out = np.full(values.size, np.nan)
+    avg = values[1:period + 1].mean()
+    out[period] = avg
+    for i in range(period + 1, values.size):
+        avg = (avg * (period - 1) + values[i]) / period
+        out[i] = avg
+    return out
+
+
 def rsi(closes: Sequence[float], period: int = 14) -> np.ndarray:
     """Wilder RSI; index `period` holds the first defined value, earlier
     entries are NaN. Zero average loss maps to 100, zero gain to 0."""
@@ -51,24 +63,11 @@ def rsi(closes: Sequence[float], period: int = 14) -> np.ndarray:
         raise InsufficientData(
             f"rsi needs {period + 1} closes, got {closes.size}"
         )
-    deltas = np.diff(closes)
-    gains = np.clip(deltas, 0.0, None)
-    losses = np.clip(-deltas, 0.0, None)
-    out = np.full(closes.size, np.nan)
-    avg_gain = gains[:period].mean()
-    avg_loss = losses[:period].mean()
-    out[period] = _rsi_value(avg_gain, avg_loss)
-    for i in range(period, deltas.size):
-        avg_gain = (avg_gain * (period - 1) + gains[i]) / period
-        avg_loss = (avg_loss * (period - 1) + losses[i]) / period
-        out[i + 1] = _rsi_value(avg_gain, avg_loss)
-    return out
-
-
-def _rsi_value(avg_gain: float, avg_loss: float) -> float:
-    if avg_loss == 0.0:
-        return 100.0
-    return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+    deltas = np.diff(closes, prepend=np.nan)
+    gain = _wilder(np.clip(deltas, 0.0, None), period)
+    loss = _wilder(np.clip(-deltas, 0.0, None), period)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(loss == 0.0, 100.0, 100.0 - 100.0 / (1.0 + gain / loss))
 
 
 def true_range(bars: np.recarray) -> np.ndarray:
@@ -86,15 +85,7 @@ def atr_percent(bars: np.recarray, period: int = 14) -> np.ndarray:
     n = len(bars)
     if n < period + 1:
         raise InsufficientData(f"atr needs {period + 1} bars, got {n}")
-    tr = true_range(bars)
-    closes = bars.close
-    out = np.full(n, np.nan)
-    atr = tr[1:period + 1].mean()
-    out[period] = atr / closes[period]
-    for i in range(period + 1, n):
-        atr = (atr * (period - 1) + tr[i]) / period
-        out[i] = atr / closes[i]
-    return out
+    return _wilder(true_range(bars), period) / bars.close
 
 
 def shape_from_quantiles(

@@ -21,6 +21,7 @@ from .errors import (
     EmptyInput,
     InsufficientData,
     MalformedRow,
+    MissingArtifact,
     MissingField,
     NonMonotoneTimestamp,
 )
@@ -332,25 +333,29 @@ def load_dataset(path: str) -> WindowedDataset:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != _MAGIC:
-        raise MalformedRow(0, f"{path}: bad dataset magic")
-    off = 8
-    (version,) = struct.unpack_from("<I", data, off); off += 4
-    if version != _VERSION:
-        raise MalformedRow(0, f"{path}: unsupported dataset version {version}")
-    n, t, f, wout = struct.unpack_from("<IIII", data, off); off += 16
-    (nlen,) = struct.unpack_from("<I", data, off); off += 4
-    names = data[off:off + nlen].decode("utf-8").split("\x1f"); off += nlen
-    has_norm, has_times = struct.unpack_from("<BB", data, off); off += 2
-    norm = None
-    if has_norm:
-        x_min = np.frombuffer(data, "<f8", f, off).copy(); off += 8 * f
-        x_max = np.frombuffer(data, "<f8", f, off).copy(); off += 8 * f
-        norm = NormalizationParams(x_min=x_min, x_max=x_max)
-    times = None
-    if has_times:
-        times = np.frombuffer(data, "<f8", n, off).copy(); off += 8 * n
-    inputs = np.frombuffer(data, "<f8", n * t * f, off).reshape(n, t, f).copy()
-    off += 8 * n * t * f
-    targets = np.frombuffer(data, "<f8", n * wout, off).reshape(n, wout).copy()
-    return WindowedDataset(inputs=inputs, targets=targets, feature_names=names,
-                           norm=norm, target_times=times)
+        raise MissingArtifact(f"{path}: not a dataset file")
+    try:
+        off = 8
+        (version,) = struct.unpack_from("<I", data, off); off += 4
+        if version != _VERSION:
+            raise ValueError(f"unsupported dataset version {version}")
+        n, t, f, wout = struct.unpack_from("<IIII", data, off); off += 16
+        (nlen,) = struct.unpack_from("<I", data, off); off += 4
+        names = data[off:off + nlen].decode("utf-8").split("\x1f"); off += nlen
+        has_norm, has_times = struct.unpack_from("<BB", data, off); off += 2
+        norm = None
+        if has_norm:
+            x_min = np.frombuffer(data, "<f8", f, off).copy(); off += 8 * f
+            x_max = np.frombuffer(data, "<f8", f, off).copy(); off += 8 * f
+            norm = NormalizationParams(x_min=x_min, x_max=x_max)
+        times = None
+        if has_times:
+            times = np.frombuffer(data, "<f8", n, off).copy(); off += 8 * n
+        inputs = np.frombuffer(data, "<f8", n * t * f, off).reshape(n, t, f).copy()
+        off += 8 * n * t * f
+        targets = np.frombuffer(data, "<f8", n * wout, off).reshape(n, wout).copy()
+        return WindowedDataset(inputs=inputs, targets=targets, feature_names=names,
+                               norm=norm, target_times=times)
+    except (struct.error, ValueError) as exc:
+        raise MissingArtifact(
+            f"{path}: truncated or corrupt dataset ({exc})") from exc

@@ -74,18 +74,22 @@ def load_checkpoint(path: str):
         raise MissingArtifact(f"checkpoint not found: {path}")
     if data[:8] != _MAGIC:
         raise MissingArtifact(f"{path}: not a checkpoint file")
-    off = 8
-    (hlen,) = struct.unpack_from("<I", data, off); off += 4
-    kind, spec = _spec_from_lines(data[off:off + hlen].decode("utf-8").splitlines())
-    off += hlen
-    (count,) = struct.unpack_from("<I", data, off); off += 4
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, off); off += 4
-        name = data[off:off + nlen].decode("utf-8"); off += nlen
-        (ndim,) = struct.unpack_from("<I", data, off); off += 4
-        shape = struct.unpack_from(f"<{ndim}I", data, off); off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(data, "<f8", size, off).reshape(shape)
-        off += 8 * size
-    return kind, spec, ParameterSet(arrays)
+    try:
+        off = 8
+        (hlen,) = struct.unpack_from("<I", data, off); off += 4
+        kind, spec = _spec_from_lines(data[off:off + hlen].decode("utf-8").splitlines())
+        off += hlen
+        (count,) = struct.unpack_from("<I", data, off); off += 4
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", data, off); off += 4
+            name = data[off:off + nlen].decode("utf-8"); off += nlen
+            (ndim,) = struct.unpack_from("<I", data, off); off += 4
+            shape = struct.unpack_from(f"<{ndim}I", data, off); off += 4 * ndim
+            size = int(np.prod(shape)) if ndim else 1
+            arrays[name] = np.frombuffer(data, "<f8", size, off).reshape(shape)
+            off += 8 * size
+        return kind, spec, ParameterSet(arrays)
+    except (struct.error, KeyError, TypeError, ValueError) as exc:
+        raise MissingArtifact(
+            f"{path}: truncated or corrupt checkpoint ({exc})") from exc

@@ -180,20 +180,7 @@ def _dense_inputs(spec, x):
     return x
 
 
-def _dense_forward(spec, params, x, mode, rng):
-    """The head alone, on (N, P) inputs."""
-    signature: list[np.ndarray] = []
-    out, caches = _head_forward(spec.head, params, x, signature)
-    return out, caches, signature
-
-
-def _dense_backward(spec, caches, dout) -> dict:
-    grads: dict[str, np.ndarray] = {}
-    _head_backward(spec.head, caches, dout, grads, input_grad=False)
-    return grads
-
-
-# --- the attention encoder ---
+# --- the attention encoder, the body of the futurequant kind ---
 
 def _encoder_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     d, cc, k = spec.model_dim, spec.conv_channels, spec.conv_kernel
@@ -205,7 +192,6 @@ def _encoder_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     for i in range(spec.num_blocks):
         shapes.update({f"block{i}_{name}": shape
                        for name, shape in block.items()})
-    shapes.update(_head_shapes(spec))
     return shapes
 
 
@@ -275,51 +261,43 @@ def _encoder_inputs(spec: ModelSpec, x):
     return x
 
 
-def _encoder_forward(spec: ModelSpec, params, x, mode, rng):
-    p = params
-    signature: list[np.ndarray] = []
-    caches: dict = {}
-
-    h, caches["input"] = L.linear_forward(x, p["input_w"], p["input_b"])
+def _encoder_forward(spec: ModelSpec, params, x, mode, rng, signature):
+    """Input projection, blocks and pooling: returns ((N, d) pooled, caches)."""
+    h, input_cache = L.linear_forward(x, params["input_w"], params["input_b"])
     block_caches = []
     for i in range(spec.num_blocks):
-        h, c = _block_forward(h, p, f"block{i}_", spec, mode, rng, signature)
+        h, c = _block_forward(h, params, f"block{i}_", spec, mode, rng, signature)
         block_caches.append(c)
-    caches["blocks"] = block_caches
-
-    pooled, caches["gap"] = L.gap_forward(h)
-    out, caches["head"] = _head_forward(spec.head, p, pooled, signature)
-    return out, caches, signature
+    pooled, gap_cache = L.gap_forward(h)
+    return pooled, (input_cache, block_caches, gap_cache)
 
 
-def _encoder_backward(spec: ModelSpec, caches: dict, dout: np.ndarray) -> dict:
-    grads: dict[str, np.ndarray] = {}
-    dpooled = _head_backward(spec.head, caches["head"], dout, grads,
-                             input_grad=True)
-    dh = L.gap_backward(caches["gap"], dpooled)
+def _encoder_backward(spec: ModelSpec, caches, dpooled, grads) -> None:
+    input_cache, block_caches, gap_cache = caches
+    dh = L.gap_backward(gap_cache, dpooled)
     for i in reversed(range(spec.num_blocks)):
-        dh = _block_backward(dh, caches["blocks"][i], f"block{i}_", grads)
+        dh = _block_backward(dh, block_caches[i], f"block{i}_", grads)
     _, grads["input_w"], grads["input_b"] = L.linear_backward(
-        caches["input"], dh, input_grad=False)
-    return grads
+        input_cache, dh, input_grad=False)
 
 
 # --- the table of model kinds ---
 
 @dataclass(frozen=True)
 class ModelKind:
-    """A model kind: its spec class, the parameter shapes of a spec, the
-    input check (spec, x) -> x as a float array or ShapeMismatch, the
-    forward pass (spec, params, x, mode, rng) -> (outputs (N, Q), caches,
-    ReLU masks), the backward pass (spec, caches, dout) -> grads, and the
-    training settings the kind imposes on a TrainConfig."""
+    """A model kind: its spec class, the input check (spec, x) -> x as a
+    float array or ShapeMismatch, the training settings it imposes on a
+    TrainConfig, and the body between input and dense head, if any: its
+    parameter shapes, its forward pass (spec, params, x, mode, rng,
+    signature) -> (head input, caches) and its backward pass (spec, caches,
+    dhead_input, grads), which writes its gradients into grads."""
 
     spec_class: type
-    parameter_shapes: Callable
     inputs: Callable
-    forward_raw: Callable
-    backward_raw: Callable
     train_config: Callable = lambda config: config
+    body_shapes: Callable = lambda spec: {}
+    body_forward: Callable | None = None
+    body_backward: Callable | None = None
 
 
 def _linear_training(config):
@@ -330,20 +308,20 @@ def _linear_training(config):
 
 
 KINDS = {
-    "futurequant": ModelKind(ModelSpec, _encoder_shapes, _encoder_inputs,
-                             _encoder_forward, _encoder_backward),
-    "quantile-linear": ModelKind(LinearSpec, _head_shapes, _dense_inputs,
-                                 _dense_forward, _dense_backward,
-                                 _linear_training),
-    "quantile-mlp": ModelKind(MLPSpec, _head_shapes, _dense_inputs,
-                              _dense_forward, _dense_backward),
+    "futurequant": ModelKind(ModelSpec, _encoder_inputs,
+                             body_shapes=_encoder_shapes,
+                             body_forward=_encoder_forward,
+                             body_backward=_encoder_backward),
+    "quantile-linear": ModelKind(LinearSpec, _dense_inputs, _linear_training),
+    "quantile-mlp": ModelKind(MLPSpec, _dense_inputs),
 }
 
 _BY_SPEC = {kind.spec_class: kind for kind in KINDS.values()}
 
 
 def parameter_shapes(spec) -> dict[str, tuple[int, ...]]:
-    return _BY_SPEC[type(spec)].parameter_shapes(spec)
+    """The body's shapes, then the head's: the checkpoint's name order."""
+    return {**_BY_SPEC[type(spec)].body_shapes(spec), **_head_shapes(spec)}
 
 
 def init_params(spec, rng: np.random.Generator) -> ParameterSet:
@@ -369,11 +347,24 @@ def forward_raw(spec, params: ParameterSet, x: np.ndarray, mode: str = "eval",
     signature) where the signature lists the boolean activation patterns
     of every ReLU (used by the gradient checker to detect kink crossings)."""
     kind = _BY_SPEC[type(spec)]
-    return kind.forward_raw(spec, params, kind.inputs(spec, x), mode, rng)
+    h = kind.inputs(spec, x)
+    signature: list[np.ndarray] = []
+    body_caches = None
+    if kind.body_forward:
+        h, body_caches = kind.body_forward(spec, params, h, mode, rng, signature)
+    out, head_caches = _head_forward(spec.head, params, h, signature)
+    return out, (body_caches, head_caches), signature
 
 
 def backward_raw(spec, caches, dout: np.ndarray) -> dict:
-    return _BY_SPEC[type(spec)].backward_raw(spec, caches, dout)
+    body_backward = _BY_SPEC[type(spec)].body_backward
+    body_caches, head_caches = caches
+    grads: dict[str, np.ndarray] = {}
+    dh = _head_backward(spec.head, head_caches, dout, grads,
+                        input_grad=body_backward is not None)
+    if body_backward:
+        body_backward(spec, body_caches, dh, grads)
+    return grads
 
 
 INFER_CHUNK = 256   # windows per eval-mode forward_raw call

@@ -88,7 +88,6 @@ def train(
     inputs: np.ndarray,
     targets: np.ndarray,
     config: TrainConfig,
-    initial_params: ParameterSet | None = None,
 ) -> tuple[ParameterSet, list[float]]:
     """Minimize the mean pinball loss over all quantile levels, for a spec
     of any kind.
@@ -105,8 +104,7 @@ def train(
         raise NonFiniteLoss("empty dataset")
 
     rng = np.random.default_rng(config.seed)
-    params = initial_params.copy() if initial_params is not None \
-        else init_params(spec, rng)
+    params = init_params(spec, rng)
     opt = Optimizer(config, params)
     dropout_rng = np.random.default_rng(config.seed + 1)
 

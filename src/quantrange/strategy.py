@@ -73,12 +73,12 @@ def signals(price, atr_pct, lower_band, upper_band, rsi,
     price, atr_pct, lower_band, upper_band, rsi = (
         np.asarray(v, dtype=float)
         for v in (price, atr_pct, lower_band, upper_band, rsi))
-    finite = (np.isfinite(price) & np.isfinite(atr_pct)
-              & np.isfinite(lower_band) & np.isfinite(rsi))
+    sell_band = upper_band if sell_vs_upper_band else lower_band
+    finite = (np.isfinite(price) & np.isfinite(atr_pct) & np.isfinite(rsi)
+              & np.isfinite(lower_band) & np.isfinite(sell_band))
     atr_in_band = (config.atr_low <= atr_pct) & (atr_pct < config.atr_high)
     oversold, overbought = rsi < 30.0, rsi > 70.0
     below = price < config.threshold * lower_band
-    sell_band = upper_band if sell_vs_upper_band else lower_band
     above = price > config.threshold * sell_band
     # (condition, kind, reason): the first true condition picks the leaf,
     # and a bar that meets none is rsi-neutral

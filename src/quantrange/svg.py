@@ -1,48 +1,31 @@
-"""Dependency-free SVG line charts (hand-emitted polylines)."""
+"""Dependency-free SVG line chart (a hand-emitted polyline)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def polyline_chart(
-    series: dict[str, np.ndarray],
-    width: int = 800,
-    height: int = 300,
-    margin: int = 40,
-    title: str = "",
-) -> str:
-    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-    all_values = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    lo, hi = float(all_values.min()), float(all_values.max())
+def polyline_chart(values: np.ndarray, label: str, title: str) -> str:
+    """One labelled series, scaled to its own range, on an 800x300 canvas
+    with a 40-pixel margin."""
+    values = np.asarray(values, dtype=float)
+    lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         hi = lo + 1.0
+    n = len(values)
+    xs = 40 + 720 * (np.arange(n) / max(n - 1, 1))
+    ys = 40 + 220 * (1.0 - (values - lo) / (hi - lo))
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="300" '
+        'viewBox="0 0 800 300">',
+        '<rect width="800" height="300" fill="white"/>',
+        '<text x="400" y="20" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="14">{title}</text>',
+        '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '
+        f'points="{points}"/>',
+        '<text x="40" y="54" fill="#1f77b4" font-family="sans-serif" '
+        f'font-size="12">{label}</text>',
+        "</svg>",
     ]
-    if title:
-        parts.append(
-            f'<text x="{width // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
-    for idx, (name, values) in enumerate(series.items()):
-        values = np.asarray(values, dtype=float)
-        n = len(values)
-        xs = margin + plot_w * (np.arange(n) / max(n - 1, 1))
-        ys = margin + plot_h * (1.0 - (values - lo) / (hi - lo))
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-        color = colors[idx % len(colors)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
-        parts.append(
-            f'<text x="{margin}" y="{margin + 14 * (idx + 1)}" fill="{color}" '
-            f'font-family="sans-serif" font-size="12">{name}</text>'
-        )
-    parts.append("</svg>")
     return "\n".join(parts) + "\n"

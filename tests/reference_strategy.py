@@ -5,7 +5,7 @@ This is the per-bar implementation `quantrange.strategy` used before the
 tree became one table of masks and positions one unit array: one `Signal`
 per bar from nested ifs, folded bar by bar into one `PositionState` per
 bar. Its forced close fills at the final bar's close, as the equity curve
-does. The tests compare the columnar code with it value for value;
+does, and its finiteness check covers the band the sell branch compares. The tests compare the columnar code with it value for value;
 nothing in the package imports it.
 """
 
@@ -43,7 +43,12 @@ def generate_signal(
     sell_vs_upper_band: bool = False,
 ) -> Signal:
     """Over-sold buy / over-bought sell, gated by the ATR volatility band."""
-    if not all(math.isfinite(v) for v in (price, atr_pct, lower_band, rsi)):
+    band = lower_band
+    if sell_vs_upper_band:
+        if upper_band is None:
+            raise ValueError("sell_vs_upper_band requires upper_band")
+        band = upper_band
+    if not all(math.isfinite(v) for v in (price, atr_pct, lower_band, band, rsi)):
         return Signal(SignalKind.NONE, "non-finite-input")
     atr_in_band = config.atr_low <= atr_pct < config.atr_high
     if rsi < 30.0:
@@ -53,11 +58,6 @@ def generate_signal(
             return Signal(SignalKind.NONE, "atr-out-of-band")
         return Signal(SignalKind.NONE, "price-above-band")
     if rsi > 70.0:
-        band = lower_band
-        if sell_vs_upper_band:
-            if upper_band is None:
-                raise ValueError("sell_vs_upper_band requires upper_band")
-            band = upper_band
         if price > config.threshold * band:
             if atr_in_band:
                 return Signal(SignalKind.SELL, "overbought")

@@ -6,8 +6,8 @@ lines as they happen).
 """
 
 import math
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,7 +265,7 @@ def test_c10_end_to_end_determinism(tmp_path):
         for kind in ("futurequant", "quantile-linear", "quantile-mlp")
     ]
     for name in names:
-        a = open(os.path.join(outputs[0], name), "rb").read()
-        b = open(os.path.join(outputs[1], name), "rb").read()
+        a = Path(outputs[0], name).read_bytes()
+        b = Path(outputs[1], name).read_bytes()
         assert a == b, name
     report(10, "end-to-end compare determinism")

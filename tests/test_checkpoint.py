@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ def test_save_is_deterministic(tmp_path):
     a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     save_checkpoint(a, "futurequant", spec, params)
     save_checkpoint(b, "futurequant", spec, params)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_missing_file(tmp_path):

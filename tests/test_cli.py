@@ -1,6 +1,8 @@
 import glob
 import os
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +169,33 @@ atr_period = 3
 """
 
 
+@pytest.fixture(scope="module")
+def linear_run(tmp_path_factory):
+    """The gapped ticks ingested and trained: the config and out dir."""
+    tmp_path = tmp_path_factory.mktemp("linear")
+    source = gapped_tick_csv(tmp_path / "ticks.csv")
+    config = write_config(tmp_path, GAPPED_CONFIG.format(source=source))
+    out = tmp_path / "out"
+    for command in ("ingest", "train"):
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+    return config, out
+
+
+@pytest.mark.parametrize("name", ["model-quantile-linear.ckpt", "test.wds"])
+@pytest.mark.parametrize("cut", [4, 10, 30, 60, 100, 150, -8, -1])
+def test_truncated_artifact_exits_cleanly(linear_run, tmp_path, capsys,
+                                          name, cut):
+    config, trained = linear_run
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / name
+    path.write_bytes(path.read_bytes()[:cut])
+    assert main(["eval", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert "Traceback" not in err
+
+
 class TestPipeline:
     def test_ingest_reports_dropped_and_filled(self, tmp_path, capsys):
         source = gapped_tick_csv(tmp_path / "ticks.csv")
@@ -298,6 +327,6 @@ class TestPipeline:
                 assert main([command, "--config", config, "--out", out]) == 0
         for name in ("ticks.csv", "model-futurequant.ckpt",
                      "metrics-futurequant.txt", "forecast-futurequant.tsv"):
-            a = open(os.path.join(out_a, name), "rb").read()
-            b = open(os.path.join(out_b, name), "rb").read()
+            a = Path(out_a, name).read_bytes()
+            b = Path(out_b, name).read_bytes()
             assert a == b, name

@@ -7,6 +7,7 @@ from quantrange.indicators import IndicatorConfig
 from quantrange.strategy import (
     REASONS,
     Side,
+    Signal,
     SignalKind,
     StrategyConfig,
     generate_signal,
@@ -62,6 +63,18 @@ class TestDecisionTable:
         variant = grid_signal(75.0, 0.02, False, sell_vs_upper_band=True)
         assert verbatim.kind is SignalKind.SELL
         assert variant.kind is SignalKind.NONE
+
+    @pytest.mark.parametrize("upper_band", [math.nan, math.inf, -math.inf])
+    def test_variant_rejects_a_non_finite_upper_band(self, upper_band):
+        # an overbought bar the verbatim branch sells; the variant compares
+        # price with the upper band, so that band must be finite too
+        sig = generate_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
+                              rsi=75.0, upper_band=upper_band,
+                              sell_vs_upper_band=True)
+        assert sig == Signal(SignalKind.NONE, "non-finite-input")
+        verbatim = generate_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
+                                   rsi=75.0, upper_band=upper_band)
+        assert verbatim.kind is SignalKind.SELL
 
     def test_variant_requires_upper_band(self):
         with pytest.raises(ValueError):

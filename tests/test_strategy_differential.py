@@ -32,8 +32,8 @@ def either(special, low, high):
 @st.composite
 def bar_inputs(draw, config):
     lower = draw(either([*NON_FINITE, 100.0], 50.0, 150.0))
-    upper = draw(either([math.nan, lower], lower, lower + 20.0)
-                 if math.isfinite(lower) else st.just(math.nan))
+    upper = draw(either([*NON_FINITE, lower], lower, lower + 20.0)
+                 if math.isfinite(lower) else st.sampled_from(NON_FINITE))
     price = draw(either([math.nan, config.threshold * lower,
                          config.threshold * upper], 40.0, 170.0))
     atr = draw(either([math.nan, config.atr_low, config.atr_high],
