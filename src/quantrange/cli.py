@@ -62,16 +62,6 @@ def cmd_synth(cfg: RunConfig) -> None:
     print(f"wrote {_out(cfg, 'ticks.csv')} ({len(prices)} ticks)")
 
 
-def _windows_with_norm(cfg: RunConfig, bars: np.recarray,
-                       norm: md.NormalizationParams) -> md.WindowedDataset:
-    ds = md.make_windows(bars, window_in=cfg.window_in,
-                         window_out=cfg.window_out, stride=cfg.stride)
-    ds.inputs = md.apply_minmax(ds.inputs, norm)
-    ds.targets = md.apply_minmax(ds.targets, norm)
-    ds.norm = norm
-    return ds
-
-
 def cmd_ingest(cfg: RunConfig) -> None:
     source = cfg.source
     if source == "synthetic":
@@ -90,7 +80,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
              "test": bars[n_train + n_val:]}
     norm = md.fit_minmax(names["train"].close)
     for name, split in names.items():
-        ds = _windows_with_norm(cfg, split, norm)
+        ds = md.make_windows(split, norm, cfg.window_in, cfg.stride)
         md.save_dataset(ds, _out(cfg, f"{name}.wds"))
         print(f"wrote {_out(cfg, name + '.wds')} ({ds.num_samples} samples)")
     lines = ["open_time\topen\thigh\tlow\tclose\tvolume_delta\tsplit"]
@@ -143,9 +133,7 @@ def _eval_forecast(cfg: RunConfig, spec, params):
 def _write_forecast_table(cfg: RunConfig, kind: str, ds, forecast, actuals):
     levels = forecast.levels.levels
     header = "timestamp\tactual\t" + "\t".join(f"q{lv}" for lv in levels)
-    times = ds.target_times if ds.target_times is not None \
-        else np.arange(len(actuals))
-    rows = np.column_stack([times, actuals, forecast.values])
+    rows = np.column_stack([ds.target_times, actuals, forecast.values])
     lines = [header, *("\t".join(map(repr, row)) for row in rows.tolist())]
     atomic_write_text(_out(cfg, f"forecast-{kind}.tsv"),
                       "\n".join(lines) + "\n")

@@ -92,7 +92,6 @@ class RunConfig:
     split_val: float = 0.15
     split_test: float = 0.15
     window_in: int = 5
-    window_out: int = 1
     stride: int = 1
     model_kind: str = "futurequant"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -133,20 +132,20 @@ def load_config(path: str, seed_override: int | None = None,
     cfg.seed = seed_override if seed_override is not None \
         else run.get("seed", cfg.seed)
 
-    data = sec("data")
-    for name in ("source", "delimiter", "bar_interval", "split_train",
-                 "split_val", "split_test", "window_in", "window_out",
-                 "stride"):
-        if name in data:
-            setattr(cfg, name, data[name])
+    data = dict(sec("data"))
+    window_out = data.pop("window_out", 1)
+    for name, value in data.items():
+        setattr(cfg, name, value)
     splits = cfg.split_train + cfg.split_val + cfg.split_test
     if abs(splits - 1.0) > 1e-9:
         raise ConfigError(f"split fractions sum to {splits}, expected 1")
     if not cfg.bar_interval > 0:
         raise ConfigError(f"[data] bar_interval {cfg.bar_interval} is not > 0")
-    if cfg.window_out != 1:
+    if cfg.stride < 1:
+        raise ConfigError(f"[data] stride {cfg.stride} is not >= 1")
+    if window_out != 1:
         raise ConfigError("[data] window_out: the models predict one step "
-                          f"ahead, so it must be 1, not {cfg.window_out}")
+                          f"ahead, so it must be 1, not {window_out}")
 
     synth = sec("synthetic")
     cfg.synthetic = SyntheticSpec(seed=cfg.seed, **synth)

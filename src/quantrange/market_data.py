@@ -50,11 +50,11 @@ class NormalizationParams:
 
 @dataclass
 class WindowedDataset:
-    inputs: np.ndarray          # (N, T, F)
-    targets: np.ndarray         # (N, window_out)
+    inputs: np.ndarray          # (N, T, F), min-max scaled by norm
+    targets: np.ndarray         # (N, 1): the scaled value one step ahead
     feature_names: list[str]
-    norm: NormalizationParams | None = None
-    target_times: np.ndarray | None = None   # open_time of each target bar
+    norm: NormalizationParams
+    target_times: np.ndarray    # (N,): open_time of each target bar
 
     @property
     def num_samples(self) -> int:
@@ -275,27 +275,23 @@ def invert_minmax(normalized: np.ndarray, params: NormalizationParams) -> np.nda
     return normalized * (params.x_max - params.x_min) + params.x_min
 
 
-def make_windows(
-    bars: np.recarray,
-    window_in: int = 5,
-    window_out: int = 1,
-    stride: int = 1,
-) -> WindowedDataset:
-    """Slide a window over contiguous bars: the one input feature is the
-    close, the target the close window_out steps after each window."""
+def make_windows(bars: np.recarray, norm: NormalizationParams,
+                 window_in: int, stride: int) -> WindowedDataset:
+    """Slide a window over contiguous bars, one window every stride bars:
+    the one input feature is the close scaled by norm, the target the
+    scaled close of the bar after each window."""
     n = len(bars)
-    num = (n - window_in - window_out) // stride + 1 if n >= window_in + window_out else 0
-    if num < 1:
+    if n <= window_in:
         raise InsufficientData(
-            f"{n} bars cannot supply window_in={window_in} + window_out={window_out}"
-        )
-    inputs = sliding_window_view(bars.close, window_in)[::stride][:num]
-    targets = sliding_window_view(bars.close[window_in:], window_out)
+            f"{n} bars cannot supply window_in={window_in} + 1 target bar")
+    scaled = apply_minmax(bars.close, norm)
+    inputs = sliding_window_view(scaled[:-1], window_in)[::stride]
     return WindowedDataset(
         inputs=inputs[:, :, None].copy(),
-        targets=targets[::stride][:num].copy(),
+        targets=scaled[window_in::stride, None].copy(),
         feature_names=["close"],
-        target_times=bars.open_time[window_in + window_out - 1::stride][:num].copy(),
+        norm=norm,
+        target_times=bars.open_time[window_in::stride].copy(),
     )
 
 
@@ -309,20 +305,13 @@ def save_dataset(ds: WindowedDataset, path: str) -> None:
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<I", _VERSION))
-    n, t, f = ds.inputs.shape
-    wout = ds.targets.shape[1]
-    buf.write(struct.pack("<IIII", n, t, f, wout))
+    buf.write(struct.pack("<IIII", *ds.inputs.shape, 1))
     names = "\x1f".join(ds.feature_names).encode("utf-8")
     buf.write(struct.pack("<I", len(names)))
     buf.write(names)
-    has_norm = ds.norm is not None
-    has_times = ds.target_times is not None
-    buf.write(struct.pack("<BB", int(has_norm), int(has_times)))
-    if has_norm:
-        buf.write(np.ascontiguousarray(ds.norm.x_min, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(ds.norm.x_max, dtype="<f8").tobytes())
-    if has_times:
-        buf.write(np.ascontiguousarray(ds.target_times, dtype="<f8").tobytes())
+    buf.write(struct.pack("<BB", 1, 1))   # normalization, target times
+    for values in (ds.norm.x_min, ds.norm.x_max, ds.target_times):
+        buf.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
     buf.write(np.ascontiguousarray(ds.inputs, dtype="<f8").tobytes())
     buf.write(np.ascontiguousarray(ds.targets, dtype="<f8").tobytes())
     from .io_utils import atomic_write_bytes
@@ -342,18 +331,21 @@ def load_dataset(path: str) -> WindowedDataset:
         n, t, f, wout = struct.unpack_from("<IIII", data, off); off += 16
         (nlen,) = struct.unpack_from("<I", data, off); off += 4
         names = data[off:off + nlen].decode("utf-8").split("\x1f"); off += nlen
-        has_norm, has_times = struct.unpack_from("<BB", data, off); off += 2
-        norm = None
-        if has_norm:
-            x_min = np.frombuffer(data, "<f8", f, off).copy(); off += 8 * f
-            x_max = np.frombuffer(data, "<f8", f, off).copy(); off += 8 * f
-            norm = NormalizationParams(x_min=x_min, x_max=x_max)
-        times = None
-        if has_times:
-            times = np.frombuffer(data, "<f8", n, off).copy(); off += 8 * n
+        flags = struct.unpack_from("<BB", data, off); off += 2
+        if (wout, *flags) != (1, 1, 1):
+            raise MissingArtifact(
+                f"{path}: window_out {wout}, flags {flags}: not a one-step "
+                "dataset with its normalization and target times")
+        x_min = np.frombuffer(data, "<f8", f, off).copy(); off += 8 * f
+        x_max = np.frombuffer(data, "<f8", f, off).copy(); off += 8 * f
+        norm = NormalizationParams(x_min=x_min, x_max=x_max)
+        times = np.frombuffer(data, "<f8", n, off).copy(); off += 8 * n
         inputs = np.frombuffer(data, "<f8", n * t * f, off).reshape(n, t, f).copy()
         off += 8 * n * t * f
-        targets = np.frombuffer(data, "<f8", n * wout, off).reshape(n, wout).copy()
+        targets = np.frombuffer(data, "<f8", n, off).reshape(n, 1).copy()
+        extra = len(data) - off - 8 * n     # a header smaller than its data
+        if extra:
+            raise ValueError(f"{extra} bytes after the targets")
         return WindowedDataset(inputs=inputs, targets=targets, feature_names=names,
                                norm=norm, target_times=times)
     except (struct.error, ValueError) as exc:

@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import MissingArtifact
 from ..io_utils import atomic_write_bytes
 from .forecast import QuantileLevels
-from .network import KINDS, ParameterSet
+from .network import KINDS, ParameterSet, parameter_shapes
 
 _MAGIC = b"QRCKPTv1"
 
@@ -89,7 +89,9 @@ def load_checkpoint(path: str):
             size = int(np.prod(shape)) if ndim else 1
             arrays[name] = np.frombuffer(data, "<f8", size, off).reshape(shape)
             off += 8 * size
-        return kind, spec, ParameterSet(arrays)
     except (struct.error, KeyError, TypeError, ValueError) as exc:
         raise MissingArtifact(
             f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+    if {name: a.shape for name, a in arrays.items()} != parameter_shapes(spec):
+        raise MissingArtifact(f"{path}: the arrays do not match the {kind} spec")
+    return kind, spec, ParameterSet(arrays)

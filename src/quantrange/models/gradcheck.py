@@ -30,13 +30,12 @@ def gradient_check(
     num_params: int = 200,
     h: float = 1e-5,
     seed: int = 0,
-    loss: str = "pinball",
 ) -> GradCheckResult:
     """Compare analytic gradients to central differences on a random
     subsample of parameter coordinates. Pure: params are left unchanged."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
-    _, grads = loss_and_grads(spec, params, x, y, loss=loss, mode="eval")
+    _, grads = loss_and_grads(spec, params, x, y)
     analytic = np.concatenate([grads[name].ravel() for name in params.arrays])
 
     rng = np.random.default_rng(seed)
@@ -49,11 +48,11 @@ def gradient_check(
     for i in picks:
         original = params.flat[i]
         params.flat[i] = original + h
-        lp, sig_p = loss_value(spec, params, x, y, loss=loss)
+        lp, sig_p = loss_value(spec, params, x, y)
         params.flat[i] = original - h
-        lm, sig_m = loss_value(spec, params, x, y, loss=loss)
+        lm, sig_m = loss_value(spec, params, x, y)
         params.flat[i] = original
-        if loss == "pinball" and sig_p != sig_m:
+        if sig_p != sig_m:
             skipped += 1
             continue
         numeric = (lp - lm) / (2.0 * h)

@@ -190,7 +190,7 @@ def gap_backward(cache, dy):
     return np.repeat(dy[:, None, :], t, axis=1) / t
 
 
-# --- dropout (inverted scaling; identity in eval mode or at rate 0) ---
+# --- dropout (inverted scaling; identity without an rng or at rate 0) ---
 
 def dropout_forward(x, rate: float, rng: np.random.Generator | None):
     if rng is None or rate <= 0.0:

@@ -1,5 +1,5 @@
-"""Pinball (quantile) loss and its subgradient, plus a squared-loss mode
-used by the gradient checker."""
+"""Pinball (quantile) loss and its subgradient: the one objective every
+model kind minimizes."""
 
 from __future__ import annotations
 
@@ -41,19 +41,3 @@ def mean_pinball_grad(pred: np.ndarray, y: np.ndarray, levels) -> np.ndarray:
         grad[:, j] = pinball_grad(pred[:, j], y, beta)
     return grad / (n * q)
 
-
-def mean_squared(pred: np.ndarray, y: np.ndarray, levels) -> float:
-    """Mean squared error of every quantile column against y (smooth loss,
-    used to validate the gradient path without pinball kinks)."""
-    return float(((pred - y[:, None]) ** 2).mean())
-
-
-def mean_squared_grad(pred: np.ndarray, y: np.ndarray, levels) -> np.ndarray:
-    n, q = pred.shape
-    return 2.0 * (pred - y[:, None]) / (n * q)
-
-
-LOSSES = {
-    "pinball": (mean_pinball, mean_pinball_grad),
-    "squared": (mean_squared, mean_squared_grad),
-}

@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import NonFiniteLoss, ShapeMismatch
 from . import layers as L
 from .forecast import QuantileForecast, QuantileLevels
-from .losses import LOSSES
+from .losses import mean_pinball, mean_pinball_grad
 
 
 def _check_widths(name: str, widths: tuple[int, ...]) -> None:
@@ -195,13 +195,12 @@ def _encoder_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _block_forward(x, p, prefix, spec, mode, rng, signature):
+def _block_forward(x, p, prefix, spec, rng, signature):
     eps = spec.ln_epsilon
     n1, c_ln1 = L.layer_norm_forward(x, p[prefix + "ln1_g"], p[prefix + "ln1_b"], eps)
     att, c_att = L.mha_forward(n1, p[prefix + "wq"], p[prefix + "wk"],
                                p[prefix + "wv"], p[prefix + "wo"], spec.num_heads)
-    drop_rng = rng if mode == "train" else None
-    att_d, c_drop = L.dropout_forward(att, spec.dropout_rate, drop_rng)
+    att_d, c_drop = L.dropout_forward(att, spec.dropout_rate, rng)
     y1 = x + att_d
 
     n2, c_ln2 = L.layer_norm_forward(y1, p[prefix + "ln2_g"], p[prefix + "ln2_b"], eps)
@@ -239,7 +238,6 @@ def encoder_block(
     params: ParameterSet,
     spec: ModelSpec,
     block_index: int = 0,
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """One encoder block on a (T, d) or (N, T, d) array; shape-preserving."""
@@ -247,7 +245,7 @@ def encoder_block(
     squeeze = x.ndim == 2
     if squeeze:
         x = x[None]
-    y, _ = _block_forward(x, params, f"block{block_index}_", spec, mode, rng, [])
+    y, _ = _block_forward(x, params, f"block{block_index}_", spec, rng, [])
     return y[0] if squeeze else y
 
 
@@ -261,12 +259,12 @@ def _encoder_inputs(spec: ModelSpec, x):
     return x
 
 
-def _encoder_forward(spec: ModelSpec, params, x, mode, rng, signature):
+def _encoder_forward(spec: ModelSpec, params, x, rng, signature):
     """Input projection, blocks and pooling: returns ((N, d) pooled, caches)."""
     h, input_cache = L.linear_forward(x, params["input_w"], params["input_b"])
     block_caches = []
     for i in range(spec.num_blocks):
-        h, c = _block_forward(h, params, f"block{i}_", spec, mode, rng, signature)
+        h, c = _block_forward(h, params, f"block{i}_", spec, rng, signature)
         block_caches.append(c)
     pooled, gap_cache = L.gap_forward(h)
     return pooled, (input_cache, block_caches, gap_cache)
@@ -288,8 +286,8 @@ class ModelKind:
     """A model kind: its spec class, the input check (spec, x) -> x as a
     float array or ShapeMismatch, the training settings it imposes on a
     TrainConfig, and the body between input and dense head, if any: its
-    parameter shapes, its forward pass (spec, params, x, mode, rng,
-    signature) -> (head input, caches) and its backward pass (spec, caches,
+    parameter shapes, its forward pass (spec, params, x, rng, signature)
+    -> (head input, caches) and its backward pass (spec, caches,
     dhead_input, grads), which writes its gradients into grads."""
 
     spec_class: type
@@ -341,17 +339,17 @@ def zero_params(spec) -> ParameterSet:
     )
 
 
-def forward_raw(spec, params: ParameterSet, x: np.ndarray, mode: str = "eval",
+def forward_raw(spec, params: ParameterSet, x: np.ndarray,
                 rng: np.random.Generator | None = None):
-    """Full forward pass of any kind. Returns (outputs (N, Q), caches,
-    signature) where the signature lists the boolean activation patterns
-    of every ReLU (used by the gradient checker to detect kink crossings)."""
+    """Full forward pass of any kind, with dropout if rng is given. Returns
+    (outputs (N, Q), caches, signature): the signature lists the boolean
+    activation patterns of every ReLU (the gradient checker's kinks)."""
     kind = _BY_SPEC[type(spec)]
     h = kind.inputs(spec, x)
     signature: list[np.ndarray] = []
     body_caches = None
     if kind.body_forward:
-        h, body_caches = kind.body_forward(spec, params, h, mode, rng, signature)
+        h, body_caches = kind.body_forward(spec, params, h, rng, signature)
     out, head_caches = _head_forward(spec.head, params, h, signature)
     return out, (body_caches, head_caches), signature
 
@@ -392,13 +390,12 @@ def forward(spec, params: ParameterSet, x: np.ndarray) -> QuantileForecast:
     return QuantileForecast(values=out, levels=spec.levels)
 
 
-def loss_value(spec, params: ParameterSet, x: np.ndarray, y: np.ndarray,
-               loss: str = "pinball") -> tuple[float, bytes]:
+def loss_value(spec, params: ParameterSet, x: np.ndarray,
+               y: np.ndarray) -> tuple[float, bytes]:
     """Eval-mode loss plus the kink signature of the evaluation point."""
-    loss_fn, _ = LOSSES[loss]
     y = np.asarray(y, dtype=float)
     out, masks = _eval_forward(spec, params, x, keep_masks=True)
-    value = float(loss_fn(out, y, spec.levels.levels))
+    value = float(mean_pinball(out, y, spec.levels.levels))
     # each ReLU's activation pattern, then the residual signs, bit-packed
     signature = b"".join(np.packbits(m.ravel()).tobytes()
                          for m in [*masks, out >= y[:, None]])
@@ -410,16 +407,14 @@ def loss_and_grads(
     params: ParameterSet,
     x: np.ndarray,
     y: np.ndarray,
-    loss: str = "pinball",
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict]:
-    loss_fn, grad_fn = LOSSES[loss]
+    """Loss and gradients of one step, with dropout if rng is given."""
     y = np.asarray(y, dtype=float)
-    out, caches, _ = forward_raw(spec, params, x, mode, rng)
-    value = float(loss_fn(out, y, spec.levels.levels))
+    out, caches, _ = forward_raw(spec, params, x, rng)
+    value = float(mean_pinball(out, y, spec.levels.levels))
     if not np.isfinite(value):
         raise NonFiniteLoss(f"loss diverged to {value}")
-    dout = grad_fn(out, y, spec.levels.levels)
+    dout = mean_pinball_grad(out, y, spec.levels.levels)
     grads = backward_raw(spec, caches, dout)
     return value, grads

@@ -124,10 +124,8 @@ def train(
                        for start in range(0, n, config.batch_size)]
         losses = []
         for idx in batches:
-            value, grads = loss_and_grads(
-                spec, params, inputs[idx], targets[idx],
-                mode="train", rng=dropout_rng,
-            )
+            value, grads = loss_and_grads(spec, params, inputs[idx],
+                                          targets[idx], dropout_rng)
             opt.step(params, grads)
             losses.append(value)
         if not params.all_finite():

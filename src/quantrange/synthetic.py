@@ -81,21 +81,18 @@ def oracle_forecast(prices: np.ndarray, oracle, levels) -> np.ndarray:
     return out
 
 
-def to_tick_text(prices: np.ndarray, start_seconds: float = 9 * 3600,
-                 tick_interval: float = 0.5) -> str:
+def to_tick_text(prices: np.ndarray) -> str:
     """Render a price path in the tick text format so the whole ingestion
-    pipeline runs unchanged on synthetic input. One tick per price; spread
-    of one price unit around last; cumulative volume grows by one."""
+    pipeline runs unchanged on synthetic input. One tick per price every
+    0.5 s from 09:00:00; spread of one price unit around last; cumulative
+    volume grows by one."""
     lines = ["UpdateTime,UpdateMillisec,LastPrice,Volume,"
              "BidPrice1,BidVolume1,AskPrice1,AskVolume1"]
     for i, p in enumerate(prices):
-        t = start_seconds + i * tick_interval
-        sec = int(t)
-        millis = int(round((t - sec) * 1000))
-        hh, rem = divmod(sec, 3600)
+        hh, rem = divmod(9 * 3600 + i // 2, 3600)
         mm, ss = divmod(rem, 60)
         lines.append(
-            f"{hh:02d}:{mm:02d}:{ss:02d},{millis},{p:.6f},{i + 1},"
+            f"{hh:02d}:{mm:02d}:{ss:02d},{500 * (i % 2)},{p:.6f},{i + 1},"
             f"{p - 0.5:.6f},1,{p + 0.5:.6f},1"
         )
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from quantrange.cli import main
 from quantrange.config import load_config
 from quantrange.errors import ConfigError
 from quantrange.models import KINDS
+from test_acceptance import ACCEPTANCE_CONFIG
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -92,6 +93,9 @@ class TestConfigLoading:
         ("model", "[model]\nnum_blocks = 0\n"),
         ("model", "[model]\nhidden = 8\n"),
         ("data", "[data]\nwindow_out = 2\n"),
+        # stride 0 raised a raw ValueError; -1 wrote a misaligned dataset
+        ("data", "[data]\nstride = 0\n"),
+        ("data", "[data]\nstride = -1\n"),
     ])
     def test_rejected_value_exits_cleanly(self, tmp_path, capsys, section,
                                           text):
@@ -194,6 +198,78 @@ def test_truncated_artifact_exits_cleanly(linear_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"error: {path}: " in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def c10_linear_run(tmp_path_factory):
+    """c10's config synthesised, ingested and trained with the linear kind
+    (a 354-byte checkpoint): the config and out dir."""
+    tmp_path = tmp_path_factory.mktemp("c10")
+    config = write_config(tmp_path, ACCEPTANCE_CONFIG.replace(
+        "[model]\n", "[model]\nkind = quantile-linear\n"))
+    out = tmp_path / "out"
+    for command in ("synth", "ingest", "train"):
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+    return config, out
+
+
+# checkpoint: bytes 80 and 88 lie in array names, 310 in a shape;
+# test.wds: byte 37 is the normalization flag, 38 the target-times flag
+@pytest.mark.parametrize("name, offset", [
+    ("model-quantile-linear.ckpt", 80), ("model-quantile-linear.ckpt", 88),
+    ("model-quantile-linear.ckpt", 310), ("test.wds", 37), ("test.wds", 38)])
+@pytest.mark.parametrize("command", ["eval", "backtest"])
+def test_zeroed_byte_exits_cleanly(c10_linear_run, tmp_path, capsys,
+                                   command, name, offset):
+    config, trained = c10_linear_run
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / name
+    data = bytearray(path.read_bytes())
+    data[offset] = 0
+    path.write_bytes(data)
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert "Traceback" not in err
+
+
+# N, T and F one less than written: N = 32 of 33 read target times as
+# inputs and exited 0
+@pytest.mark.parametrize("offset", [12, 16, 20])
+def test_wds_header_smaller_than_data_exits_cleanly(c10_linear_run, tmp_path,
+                                                    capsys, offset):
+    config, trained = c10_linear_run
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / "test.wds"
+    data = bytearray(path.read_bytes())
+    data[offset] -= 1
+    path.write_bytes(data)
+    assert main(["eval", "--config", config, "--out", str(out)]) == 1
+    assert f"error: {path}: truncated or corrupt dataset" in \
+        capsys.readouterr().err
+
+
+def test_byte_flip_sweep_raises_no_exception(c10_linear_run, tmp_path):
+    # every checkpoint byte and the .wds header set to 0 and to 255; a
+    # flipped exponent byte gives values near 1e300, so overflow is allowed
+    config, trained = c10_linear_run
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    with np.errstate(all="ignore"):
+        for name, count in (("model-quantile-linear.ckpt", None),
+                            ("test.wds", 64)):
+            path = out / name
+            original = path.read_bytes()
+            for offset in range(count or len(original)):
+                for value in (0, 255):
+                    data = bytearray(original)
+                    data[offset] = value
+                    path.write_bytes(data)
+                    code = main(["eval", "--config", config, "--out", str(out)])
+                    assert code in (0, 1), (name, offset, value)
+            path.write_bytes(original)
 
 
 class TestPipeline:

@@ -8,8 +8,41 @@ from quantrange.models import (
     QuantileLevels,
     gradient_check,
     init_params,
-    loss_and_grads,
 )
+from quantrange.models.network import backward_raw, forward_raw
+
+DENSE_SPECS = pytest.mark.parametrize("spec", [
+    LinearSpec(num_inputs=3, levels=QuantileLevels((0.25, 0.75))),
+    MLPSpec(num_inputs=3, hidden=(6, 4), levels=QuantileLevels((0.25, 0.75))),
+], ids=["linear", "mlp"])
+
+
+def squared_loss_and_grads(spec, params, x, y):
+    """Mean squared error of every quantile column against y, and its
+    gradients: a smooth loss, so plain central differences apply at every
+    coordinate."""
+    out, caches, _ = forward_raw(spec, params, x)
+    residual = out - y[:, None]
+    return (float((residual ** 2).mean()),
+            backward_raw(spec, caches, 2.0 * residual / residual.size))
+
+
+def squared_loss_max_rel_error(spec, params, x, y, h, floor):
+    """Largest relative error of the squared loss's analytic gradient
+    against central differences, over every parameter coordinate."""
+    _, grads = squared_loss_and_grads(spec, params, x, y)
+    analytic = np.concatenate([grads[name].ravel() for name in params.arrays])
+    worst = 0.0
+    for i, orig in enumerate(params.flat.copy()):
+        params.flat[i] = orig + h
+        up, _ = squared_loss_and_grads(spec, params, x, y)
+        params.flat[i] = orig - h
+        dn, _ = squared_loss_and_grads(spec, params, x, y)
+        params.flat[i] = orig
+        numeric = (up - dn) / (2 * h)
+        denom = max(abs(numeric), abs(analytic[i]), floor)
+        worst = max(worst, abs(numeric - analytic[i]) / denom)
+    return worst
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -37,40 +70,33 @@ def test_gradient_check_leaves_params_untouched():
 
 
 def test_linear_squared_loss_gradients():
-    # squared loss is smooth, so plain central differences apply everywhere
     spec = LinearSpec(num_inputs=3, levels=QuantileLevels((0.25, 0.75)))
     rng = np.random.default_rng(4)
     params = init_params(spec, rng)
     x = rng.standard_normal((12, 3))
     y = rng.standard_normal(12)
-    _, grads = loss_and_grads(spec, params, x, y, loss="squared")
-    h = 1e-6
-    for name, grad in grads.items():
-        flat = params.arrays[name].reshape(-1)
-        gflat = np.asarray(grad).reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up, _ = loss_and_grads(spec, params, x, y, loss="squared")
-            flat[idx] = orig - h
-            dn, _ = loss_and_grads(spec, params, x, y, loss="squared")
-            flat[idx] = orig
-            numeric = (up - dn) / (2 * h)
-            denom = max(abs(numeric), abs(gflat[idx]), 1e-8)
-            assert abs(numeric - gflat[idx]) / denom <= 1e-6
+    assert squared_loss_max_rel_error(spec, params, x, y, h=1e-6,
+                                      floor=1e-8) <= 1e-6
 
 
-@pytest.mark.parametrize("spec", [
-    LinearSpec(num_inputs=3, levels=QuantileLevels((0.25, 0.75))),
-    MLPSpec(num_inputs=3, hidden=(6, 4), levels=QuantileLevels((0.25, 0.75))),
-], ids=["linear", "mlp"])
+@DENSE_SPECS
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_kinds_squared_loss_gradient_check(spec, seed):
     rng = np.random.default_rng(seed)
     params = init_params(spec, rng)
     x = rng.standard_normal((12, 3))
     y = rng.standard_normal(12)
-    result = gradient_check(spec, params, x, y, num_params=200, seed=seed,
-                            loss="squared")
-    assert result.checked == sum(a.size for a in params.arrays.values())
+    assert squared_loss_max_rel_error(spec, params, x, y, h=1e-5,
+                                      floor=1e-6) <= 1e-6
+
+
+@DENSE_SPECS
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_kinds_pinball_gradient_check(spec, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(spec, rng)
+    x = rng.standard_normal((12, 3))
+    y = rng.standard_normal(12)
+    result = gradient_check(spec, params, x, y, num_params=200, seed=seed)
     assert result.max_rel_error <= 1e-6
+    assert result.checked > 0

@@ -158,9 +158,8 @@ class TestEncoderBlock:
         rng = np.random.default_rng(4)
         params = init_params(spec, rng)
         x = rng.standard_normal((2, 5, spec.model_dim))
-        a = encoder_block(x, params, spec, 0, mode="eval")
-        b = encoder_block(x, params, spec, 0, mode="train",
-                          rng=np.random.default_rng(0))
+        a = encoder_block(x, params, spec, 0)
+        b = encoder_block(x, params, spec, 0, rng=np.random.default_rng(0))
         assert np.allclose(a, b)
 
     def test_shape_preserved(self):

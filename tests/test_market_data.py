@@ -202,38 +202,53 @@ def bar_series(n, start_price=100.0):
                          for i in range(n)], dtype=BAR_DTYPE)
 
 
+def windows(bars, window_in=5, stride=1):
+    return make_windows(bars, fit_minmax(bars.close), window_in, stride)
+
+
 class TestMakeWindows:
     def test_counting(self):
-        ds = make_windows(bar_series(7), window_in=5, window_out=1, stride=1)
+        ds = windows(bar_series(7))
         assert ds.num_samples == 2
 
     def test_boundary(self):
         bars = bar_series(6)
-        ds = make_windows(bars, window_in=5, window_out=1)
+        ds = windows(bars)
         assert ds.num_samples == 1
-        assert ds.targets[0, 0] == bars[5].close
+        assert ds.targets.shape == (1, 1)
+        assert invert_minmax(ds.targets[0, 0], ds.norm) == bars[5].close
 
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
-            make_windows(bar_series(5), window_in=5, window_out=1)
+            windows(bar_series(5))
 
     def test_no_leakage(self):
         bars = bar_series(30)
-        ds = make_windows(bars, window_in=5, window_out=1)
+        ds = windows(bars)
         times = np.array([b.open_time for b in bars])
         for i in range(ds.num_samples):
             input_max_time = times[i + 4]
             assert input_max_time < ds.target_times[i]
 
     def test_stride(self):
-        ds = make_windows(bar_series(11), window_in=5, window_out=1, stride=2)
+        ds = windows(bar_series(11), stride=2)
         assert ds.num_samples == 3
+
+    def test_inputs_and_targets_are_scaled_closes(self):
+        bars = bar_series(12)
+        ds = windows(bars, window_in=3, stride=2)
+        scaled = apply_minmax(bars.close, ds.norm)
+        starts = range(0, 9, 2)
+        assert np.array_equal(ds.inputs[:, :, 0],
+                              [scaled[s:s + 3] for s in starts])
+        assert np.array_equal(ds.targets[:, 0], [scaled[s + 3] for s in starts])
+        assert np.array_equal(ds.target_times,
+                              [bars.open_time[s + 3] for s in starts])
 
 
 class TestDatasetArtifact:
     def test_round_trip_bit_exact(self, tmp_path):
-        ds = make_windows(bar_series(20), window_in=5, window_out=1)
-        ds.norm = fit_minmax(np.array([b.close for b in bar_series(20)]))
+        ds = windows(bar_series(20))
         path = str(tmp_path / "d.wds")
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -242,6 +257,7 @@ class TestDatasetArtifact:
         assert np.array_equal(back.target_times, ds.target_times)
         assert back.feature_names == ds.feature_names
         assert np.array_equal(back.norm.x_min, ds.norm.x_min)
+        assert np.array_equal(back.norm.x_max, ds.norm.x_max)
 
 
 def long_stream(bad_row, rows=3000, blank_before=1500):
