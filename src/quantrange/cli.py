@@ -52,12 +52,13 @@ def _indexed_tsv(values) -> str:
 
 def cmd_synth(cfg: RunConfig) -> None:
     prices, _ = generate(cfg.synthetic)
-    bad = np.flatnonzero(prices <= 0.0)
+    bad = np.flatnonzero(~(prices > 0.0) | np.isinf(prices))
     if bad.size:
         i = int(bad[0])
-        raise InvalidSpec(f"synthetic path reaches the non-positive price "
+        what = "non-positive" if prices[i] <= 0.0 else "non-finite"
+        raise InvalidSpec(f"synthetic path reaches the {what} price "
                           f"{float(prices[i])!r} at tick {i}; ingest needs "
-                          "positive prices")
+                          "finite positive prices")
     atomic_write_text(_out(cfg, "ticks.csv"), to_tick_text(prices))
     print(f"wrote {_out(cfg, 'ticks.csv')} ({len(prices)} ticks)")
 

@@ -109,16 +109,19 @@ class RunConfig:
 def load_config(path: str, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        items = {name: parser.items(name) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     values: dict[str, dict] = {}
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         values[section] = {}
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[section][key] = _convert(section, key, raw)

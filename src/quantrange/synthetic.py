@@ -3,7 +3,9 @@ coverage and pinball-loss behaviour end to end."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from array import array
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Callable
 
@@ -26,12 +28,17 @@ class SyntheticSpec:
     base_price: float = 100.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise InvalidSpec(f"{f.name} must be finite")
         if self.kind not in KINDS:
             raise InvalidSpec(f"kind must be one of {KINDS}")
         if abs(self.phi) >= 1.0:
             raise InvalidSpec("need |phi| < 1")
         if self.sigma0 <= 0.0:
             raise InvalidSpec("sigma0 must be positive")
+        if self.vol_sensitivity < 0.0:
+            raise InvalidSpec("vol_sensitivity must be >= 0")
         if self.length < 2:
             raise InvalidSpec("length must be >= 2")
 
@@ -52,14 +59,14 @@ def _drift(spec: SyntheticSpec, x: float) -> float:
 def generate(spec: SyntheticSpec) -> tuple[np.ndarray, Callable[[float, float], float]]:
     """Returns (prices, oracle) where oracle(price_t, beta) is the exact
     conditional beta-quantile of the next price. Deterministic per seed."""
-    rng = np.random.default_rng(spec.seed)
-    x = np.empty(spec.length)
-    x[0] = 0.0
-    noise = rng.standard_normal(spec.length - 1)
-    for t in range(1, spec.length):
-        prev = x[t - 1]
-        x[t] = _drift(spec, prev) + _sigma(spec, prev) * noise[t - 1]
-    prices = spec.base_price + x
+    # memoryview yields Python floats, the IEEE doubles numpy's float64
+    # scalars hold, so the bits are the same; array("d") stores them unboxed
+    noise = np.random.default_rng(spec.seed).standard_normal(spec.length - 1)
+    x, path = 0.0, array("d", [0.0])
+    for eps in memoryview(noise):
+        x = _drift(spec, x) + _sigma(spec, x) * eps
+        path.append(x)
+    prices = spec.base_price + np.frombuffer(path)
 
     nd = NormalDist()
 
@@ -81,18 +88,52 @@ def oracle_forecast(prices: np.ndarray, oracle, levels) -> np.ndarray:
     return out
 
 
+def _digits(v: np.ndarray, keep: int) -> np.ndarray:
+    """The ASCII digits of int64 values v >= 0, one row each; the leading
+    zeros before the last `keep` digits are 0 bytes."""
+    width = max(keep, len(str(v.max())))
+    out, rest = np.empty((len(v), width), np.uint8), v
+    for j in range(width - 1, -1, -1):
+        rest, out[:, j] = np.divmod(rest, 10)
+    out += 48
+    out[:, :-keep] *= v[:, None] >= 10 ** np.arange(width - 1, keep - 1, -1)
+    return out
+
+
+def _price_field(x: np.ndarray) -> np.ndarray:
+    """`"%.6f" % v` for each v in x, one 0-padded row each. rint(v * 1e6)
+    rounds as %.6f does if v has no sign bit, v * 1e6 < 2**52 and it is over
+    a spacing (twice its rounding error) from a half-integer; else "%.6f"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e6
+        fast = (~np.signbit(x) & (y < 2.0**52)
+                & (np.abs(y - np.floor(y) - 0.5) > np.spacing(y)))
+    field = _digits(np.rint(np.where(fast, y, 0.0)).astype(np.int64), 7)
+    field = np.insert(field, field.shape[1] - 6, ord("."), axis=1)
+    slow = np.flatnonzero(~fast)
+    text = np.array(["%.6f" % v for v in x[slow].tolist()], dtype=bytes)
+    width = max(field.shape[1], text.itemsize)
+    field = np.pad(field, ((0, 0), (width - field.shape[1], 0)))
+    field[slow] = text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    return field
+
+
 def to_tick_text(prices: np.ndarray) -> str:
     """Render a price path in the tick text format so the whole ingestion
-    pipeline runs unchanged on synthetic input. One tick per price every
-    0.5 s from 09:00:00; spread of one price unit around last; cumulative
-    volume grows by one."""
-    lines = ["UpdateTime,UpdateMillisec,LastPrice,Volume,"
-             "BidPrice1,BidVolume1,AskPrice1,AskVolume1"]
-    for i, p in enumerate(prices):
-        hh, rem = divmod(9 * 3600 + i // 2, 3600)
-        mm, ss = divmod(rem, 60)
-        lines.append(
-            f"{hh:02d}:{mm:02d}:{ss:02d},{500 * (i % 2)},{p:.6f},{i + 1},"
-            f"{p - 0.5:.6f},1,{p + 0.5:.6f},1"
-        )
-    return "\n".join(lines) + "\n"
+    pipeline runs unchanged on synthetic input. Tick i is at 09:00:00 + i/2 s
+    with volume i + 1, last p, bid p - 0.5 and ask p + 0.5 as %.6f; rows are
+    built as 0-padded byte tables, 65536 at a time."""
+    blocks = ["UpdateTime,UpdateMillisec,LastPrice,Volume,"
+              "BidPrice1,BidVolume1,AskPrice1,AskVolume1\n"]
+    for start in range(0, len(prices), 65536):
+        p = prices[start:start + 65536]
+        i = np.arange(start, start + len(p))
+        t = 9 * 3600 + i // 2
+        cells = [_digits(t // 3600, 2), b":", _digits(t % 3600 // 60, 2), b":",
+                 _digits(t % 60, 2), b",", _digits(500 * (i % 2), 1), b",",
+                 _price_field(p), b",", _digits(i + 1, 1), b",",
+                 _price_field(p - 0.5), b",1,", _price_field(p + 0.5), b",1\n"]
+        table = np.hstack([np.tile(np.frombuffer(c, np.uint8), (len(p), 1))
+                           if isinstance(c, bytes) else c for c in cells])
+        blocks.append(table[table != 0].tobytes().decode("ascii"))
+    return "".join(blocks)

@@ -106,6 +106,23 @@ class TestConfigLoading:
         assert err.startswith("error:") and f"[{section}]" in err
         assert "Traceback" not in err
 
+    # each gave a raw configparser traceback
+    @pytest.mark.parametrize("text", [
+        "[run]\nseed = 1\nseed = 2\n",               # duplicate key
+        "[run]\nseed = 1\n\n[run]\nseed = 2\n",      # duplicate section
+        "seed = 1\n\n[run]\n",                       # key before a section
+        "[data]\ndelimiter = %\n",                    # bad interpolation
+        "[run]\nout_dir = %(x)s\n",                   # unknown interpolation
+    ])
+    def test_malformed_file_exits_cleanly(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, text)
+        code = main(["synth", "--config", config,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {config}: ")
+        assert "Traceback" not in err
+
     def test_readme_example_loads(self, tmp_path):
         with open(README, encoding="utf-8") as fh:
             block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
@@ -352,6 +369,33 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert code == 1
         assert f"{float(prices[first])!r} at tick {first}" in err
+        assert not (out / "ticks.csv").exists()
+
+    # each wrote a tick file of nan (or a reversed oracle) and exited 0
+    @pytest.mark.parametrize("key, value", [
+        ("phi", "nan"), ("sigma0", "nan"), ("sigma0", "inf"),
+        ("base_price", "nan"), ("vol_sensitivity", "-0.5")])
+    def test_synth_refuses_bad_spec(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, f"[synthetic]\n{key} = {value}\n")
+        code = main(["synth", "--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {key} must be")
+        assert "Traceback" not in err
+        assert not (out / "ticks.csv").exists()
+
+    def test_synth_refuses_non_finite_prices(self, tmp_path, capsys):
+        # a finite spec whose noise scale overflows at the second step
+        text = ("[run]\nseed = 1\n\n[synthetic]\nkind = heteroscedastic-ar1"
+                "\nsigma0 = 1e200\nlength = 10\n")
+        out = tmp_path / "out"
+        code = main(["synth", "--config", write_config(tmp_path, text),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: synthetic path reaches the non-finite "
+                              "price inf at tick 2;")
         assert not (out / "ticks.csv").exists()
 
     # the linear kind's table entry fixes its learning rate, so only the

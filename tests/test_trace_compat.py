@@ -59,3 +59,17 @@ def test_traced_pipeline_counts(tmp_path, tracing):
                if key.startswith("strategy.Signal.")}
     assert reasons == {"no-forecast": 5, "price-above-band": 3,
                        "atr-out-of-band": 2, "rsi-neutral": 1}
+
+
+def test_traced_synth_counts(tmp_path, tracing):
+    # the tracer wraps generate and to_tick_text at quantrange.cli, where
+    # cmd_synth must look them up
+    config = write_config(tmp_path, "[synthetic]\nlength = 50\n")
+    recorder = tracing.Recorder()
+    tracing.install(recorder)
+    assert main(["synth", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 0
+    summary = tracing.summarise(recorder.spans)
+    assert summary["cli.synth.calls"] == 1
+    assert summary["synthetic.generate.calls"] == 1
+    assert summary["synthetic.to_tick_text.calls"] == 1
