@@ -23,8 +23,10 @@ from .models import (
     QuantileForecast,
     forward,
     load_checkpoint,
+    load_forecast,
     repair_monotonic,
     save_checkpoint,
+    save_forecast,
     train,
 )
 from .strategy import REASONS
@@ -71,8 +73,10 @@ def cmd_ingest(cfg: RunConfig) -> None:
         parsed = md.parse_ticks(fh, delimiter=cfg.delimiter)
     ticks = parsed.records
     bars = md.resample(ticks, cfg.bar_interval)
-    populated = np.unique((ticks.timestamp - ticks.timestamp[0])
-                          // cfg.bar_interval).size
+    # resample checked that the timestamps never decrease, so the buckets
+    # do not either, and each change of bucket opens a populated bar
+    bucket = (ticks.timestamp - ticks.timestamp[0]) // cfg.bar_interval
+    populated = np.count_nonzero(np.diff(bucket)) + 1
     print(f"read {len(ticks)} ticks ({parsed.dropped_rows} rows dropped), "
           f"{len(bars)} bars ({len(bars) - populated} forward-filled)")
     n_train = int(len(bars) * cfg.split_train)
@@ -86,8 +90,11 @@ def cmd_ingest(cfg: RunConfig) -> None:
         print(f"wrote {_out(cfg, name + '.wds')} ({ds.num_samples} samples)")
     lines = ["open_time\topen\thigh\tlow\tclose\tvolume_delta\tsplit"]
     for name, split in names.items():
-        lines.extend("\t".join(map(repr, row)) + f"\t{name}"
-                     for row in split.tolist())
+        # 4096 rows at a time: a whole split's tuples of Python floats
+        # would set this stage's peak memory
+        for start in range(0, len(split), 4096):
+            lines.extend("\t".join(map(repr, row)) + f"\t{name}"
+                         for row in split[start:start + 4096].tolist())
     atomic_write_text(_out(cfg, "bars.tsv"), "\n".join(lines) + "\n")
 
 
@@ -106,10 +113,9 @@ def _train_model(cfg: RunConfig, kind: str, ds: md.WindowedDataset, seed: int):
     return spec, params, history
 
 
-def _to_price_units(forecast: QuantileForecast,
-                    norm: md.NormalizationParams) -> QuantileForecast:
-    return QuantileForecast(md.invert_minmax(forecast.values, norm),
-                            forecast.levels)
+def _price_forecast(spec, params, ds: md.WindowedDataset) -> QuantileForecast:
+    raw = forward(spec, params, ds.inputs)
+    return QuantileForecast(md.invert_minmax(raw.values, ds.norm), raw.levels)
 
 
 def cmd_train(cfg: RunConfig) -> None:
@@ -124,8 +130,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
 def _eval_forecast(cfg: RunConfig, spec, params):
     ds = md.load_dataset(_require(_out(cfg, "test.wds")))
-    raw = forward(spec, params, ds.inputs)
-    raw_prices = _to_price_units(raw, ds.norm)
+    raw_prices = _price_forecast(spec, params, ds)
     actuals = md.invert_minmax(ds.targets, ds.norm).reshape(-1)
     report = im.evaluate(actuals, raw_prices, cfg.metrics)
     return ds, raw_prices, actuals, report
@@ -142,16 +147,35 @@ def _write_forecast_table(cfg: RunConfig, kind: str, ds, forecast, actuals):
 
 def cmd_eval(cfg: RunConfig) -> None:
     kind = cfg.model_kind
-    _, spec, params = load_checkpoint(_require(_out(cfg, f"model-{kind}.ckpt")))
+    ckpt = _require(_out(cfg, f"model-{kind}.ckpt"))
+    _, spec, params = load_checkpoint(ckpt)
     ds, forecast, actuals, report = _eval_forecast(cfg, spec, params)
     atomic_write_text(_out(cfg, f"metrics-{kind}.txt"), report.to_text())
     _write_forecast_table(cfg, kind, ds, forecast, actuals)
+    save_forecast(_out(cfg, f"forecast-{kind}.bin"), forecast,
+                  (ckpt, _out(cfg, "test.wds")))
     print(report.to_text(), end="")
+
+
+def _backtest_forecast(cfg: RunConfig, kind: str) -> QuantileForecast:
+    """eval's forecast, read from forecast-<kind>.bin when that file was
+    written from the checkpoint and test.wds as they are now, else
+    computed again from them."""
+    ckpt = _require(_out(cfg, f"model-{kind}.ckpt"))
+    wds = _require(_out(cfg, "test.wds"))
+    cached = _out(cfg, f"forecast-{kind}.bin")
+    forecast = load_forecast(cached, (ckpt, wds))
+    if forecast is not None:
+        print(f"forecast: read {cached}")
+        return forecast
+    print(f"forecast: computed from {ckpt} ({cached} is missing or stale)")
+    _, spec, params = load_checkpoint(ckpt)
+    return _price_forecast(spec, params, md.load_dataset(wds))
 
 
 def cmd_backtest(cfg: RunConfig) -> None:
     kind = cfg.model_kind
-    _, spec, params = load_checkpoint(_require(_out(cfg, f"model-{kind}.ckpt")))
+    repaired = repair_monotonic(_backtest_forecast(cfg, kind))
     test_bars = _read_bars_tsv(cfg, "test")
     warm_up = max(cfg.indicators.rsi_period, cfg.indicators.atr_period)
     if len(test_bars) <= warm_up + cfg.window_in:
@@ -159,10 +183,6 @@ def cmd_backtest(cfg: RunConfig) -> None:
               f"than the indicator warm-up plus window_in "
               f"({warm_up} + {cfg.window_in}), so it cannot trade",
               file=sys.stderr)
-    ds = md.load_dataset(_require(_out(cfg, "test.wds")))
-    raw = forward(spec, params, ds.inputs)
-    repaired = repair_monotonic(_to_price_units(raw, ds.norm))
-
     aligned = np.full((len(test_bars), repaired.values.shape[1]), np.nan)
     decision_bars = np.arange(len(repaired.values)) * cfg.stride
     aligned[decision_bars + cfg.window_in - 1] = repaired.values
@@ -227,8 +247,14 @@ def main(argv: list[str] | None = None) -> int:
                           out_override=args.out)
         os.makedirs(cfg.out_dir, exist_ok=True)
         COMMANDS[args.command](cfg)
+        sys.stdout.flush()
     except QuantRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (`quantrange ... | head -1`); point it at
+        # devnull so the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpec
 from .indicators import IndicatorConfig
 from .interval_metrics import MetricConfig
 from .models.forecast import QuantileLevels
@@ -77,7 +77,7 @@ def _build(section: str, cls, **kwargs):
     ConfigError naming the section."""
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except (ValueError, InvalidSpec) as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
 
@@ -150,8 +150,8 @@ def load_config(path: str, seed_override: int | None = None,
         raise ConfigError("[data] window_out: the models predict one step "
                           f"ahead, so it must be 1, not {window_out}")
 
-    synth = sec("synthetic")
-    cfg.synthetic = SyntheticSpec(seed=cfg.seed, **synth)
+    cfg.synthetic = _build("synthetic", SyntheticSpec, seed=cfg.seed,
+                           **sec("synthetic"))
 
     model = dict(sec("model"))
     cfg.model_kind = model.pop("kind", cfg.model_kind)

@@ -3,7 +3,9 @@ from .forecast import (
     QuantileForecast,
     QuantileLevels,
     interval_bounds,
+    load_forecast,
     repair_monotonic,
+    save_forecast,
 )
 from .losses import mean_pinball, pinball_loss
 from .network import (
@@ -25,7 +27,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "DEFAULT_LEVELS", "QuantileForecast", "QuantileLevels",
-    "interval_bounds", "repair_monotonic",
+    "interval_bounds", "load_forecast", "repair_monotonic", "save_forecast",
     "mean_pinball", "pinball_loss",
     "KINDS", "LinearSpec", "MLPSpec", "ModelKind", "ModelSpec",
     "ParameterSet", "encoder_block", "forward", "init_params",

@@ -64,6 +64,12 @@ DIGESTS = {
         "438aa1fdf55039dffc78219e37ab0d4aaf20622306b7af4738febdcf5f7d9b0b",
     "pipeline/equity-quantile-mlp.tsv":
         "3456bb59965373abfe3871713acd04f188f55570099506005bb0d9afdabbc6b6",
+    "pipeline/forecast-futurequant.bin":
+        "8c6ca353e7a09d43dbe7149180a199f64f942e7dbd5ca75767bbafdecf81b574",
+    "pipeline/forecast-quantile-linear.bin":
+        "ee8136d10c4d6fd07e46ab6a1faf4d61e8d50b22f44446026f2e99b24ae1ca23",
+    "pipeline/forecast-quantile-mlp.bin":
+        "4c0b3f3a247762d59b79e00f6dc4057d3e66a74600aedf3801052835108fb892",
     "pipeline/forecast-futurequant.tsv":
         "4a4b92256d734ebf13f286536ff63d492af04a5581a326407b0364c02dfa6226",
     "pipeline/forecast-quantile-linear.tsv":

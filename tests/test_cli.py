@@ -2,6 +2,8 @@ import glob
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from quantrange.models import KINDS
 from test_acceptance import ACCEPTANCE_CONFIG
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
 
 SMALL_CONFIG = """\
 [run]
@@ -96,6 +100,11 @@ class TestConfigLoading:
         # stride 0 raised a raw ValueError; -1 wrote a misaligned dataset
         ("data", "[data]\nstride = 0\n"),
         ("data", "[data]\nstride = -1\n"),
+        # SyntheticSpec's errors did not name their section
+        ("synthetic", "[synthetic]\nphi = 1.0\n"),
+        ("synthetic", "[synthetic]\nsigma0 = 0.0\n"),
+        ("synthetic", "[synthetic]\nkind = bogus\n"),
+        ("synthetic", "[synthetic]\nlength = 1\n"),
     ])
     def test_rejected_value_exits_cleanly(self, tmp_path, capsys, section,
                                           text):
@@ -298,6 +307,36 @@ class TestPipeline:
         assert "read 1197 ticks (3 rows dropped), 44 bars (3 forward-filled)" \
             in capsys.readouterr().out.splitlines()
 
+    def test_ingest_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique on floats imports numpy.ma, 13-35 ms of every ingest
+        source = gapped_tick_csv(tmp_path / "ticks.csv")
+        config = write_config(tmp_path, GAPPED_CONFIG.format(source=source))
+        code = ("import sys\nfrom quantrange.cli import main\n"
+                f"assert main(['ingest', '--config', {config!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_closed_stdout_exits_without_traceback(self, tmp_path):
+        # as `quantrange ingest ... | head -1` does after its first line
+        source = gapped_tick_csv(tmp_path / "ticks.csv")
+        config = write_config(tmp_path, GAPPED_CONFIG.format(source=source))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quantrange.cli", "ingest",
+                 "--config", config, "--out", str(tmp_path / "out")],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": SRC})
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
     def test_backtest_prints_signal_counts(self, tmp_path, capsys):
         source = gapped_tick_csv(tmp_path / "ticks.csv")
         config = write_config(tmp_path, GAPPED_CONFIG.format(source=source))
@@ -381,7 +420,7 @@ class TestPipeline:
         code = main(["synth", "--config", config, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {key} must be")
+        assert err.startswith(f"error: [synthetic] {key} must be")
         assert "Traceback" not in err
         assert not (out / "ticks.csv").exists()
 
