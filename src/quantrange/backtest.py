@@ -1,5 +1,5 @@
-"""Backtest engine: equity accounting, cumulative return, drawdown stats,
-horizon summaries, and the fixed-capital scenario test."""
+"""Backtest engine: equity accounting, cumulative return, drawdown stats
+and horizon summaries."""
 
 from __future__ import annotations
 
@@ -62,13 +62,6 @@ def drawdown(equity: Sequence[float]) -> DrawdownStats:
         max_drawdown=float(series.max()) if series.size else 0.0,
         count_over_threshold=int((series > DRAWDOWN_COUNT_THRESHOLD).sum()),
     )
-
-
-def scenario_test(initial_funds: float, period_return: float) -> float:
-    """Account balance after one period at the given return."""
-    if initial_funds <= 0:
-        raise ValueError("initial funds must be positive")
-    return initial_funds * (1.0 + period_return)
 
 
 def equity_from_positions(

@@ -106,55 +106,54 @@ def _read_bars_tsv(cfg: RunConfig, split: str) -> np.recarray:
     return rows.astype(md.BAR_DTYPE).view(np.recarray)
 
 
-def _train_model(cfg: RunConfig, kind: str, ds: md.WindowedDataset, seed: int):
-    spec = cfg.specs[kind]
-    config = KINDS[kind].train_config(replace(cfg.train, seed=seed))
-    params, history = train(spec, ds.inputs, ds.targets, config)
-    return spec, params, history
-
-
 def _price_forecast(spec, params, ds: md.WindowedDataset) -> QuantileForecast:
     raw = forward(spec, params, ds.inputs)
     return QuantileForecast(md.invert_minmax(raw.values, ds.norm), raw.levels)
 
 
+def _train_kind(cfg: RunConfig, kind: str, ds: md.WindowedDataset,
+                seed: int) -> list[float]:
+    """Train `kind` on ds from `seed`; write its checkpoint and loss table
+    and return the loss history."""
+    spec = cfg.specs[kind]
+    config = KINDS[kind].train_config(replace(cfg.train, seed=seed))
+    params, history = train(spec, ds.inputs, ds.targets, config)
+    save_checkpoint(_out(cfg, f"model-{kind}.ckpt"), kind, spec, params)
+    atomic_write_text(_out(cfg, f"loss-{kind}.tsv"), _indexed_tsv(history))
+    return history
+
+
 def cmd_train(cfg: RunConfig) -> None:
     ds = md.load_dataset(_require(_out(cfg, "train.wds")))
     kind = cfg.model_kind
-    spec, params, history = _train_model(cfg, kind, ds, cfg.seed)
-    save_checkpoint(_out(cfg, f"model-{kind}.ckpt"), kind, spec, params)
-    atomic_write_text(_out(cfg, f"loss-{kind}.tsv"), _indexed_tsv(history))
+    history = _train_kind(cfg, kind, ds, cfg.seed)
     print(f"wrote {_out(cfg, f'model-{kind}.ckpt')} "
           f"(final loss {history[-1]:.6g})")
 
 
-def _eval_forecast(cfg: RunConfig, spec, params):
-    ds = md.load_dataset(_require(_out(cfg, "test.wds")))
-    raw_prices = _price_forecast(spec, params, ds)
+def _eval_kind(cfg: RunConfig, kind: str) -> im.MetricsReport:
+    """Score `kind`'s checkpoint on test.wds: write its metrics, its forecast
+    table and forecast-<kind>.bin, and return the report."""
+    ckpt = _require(_out(cfg, f"model-{kind}.ckpt"))
+    _, spec, params = load_checkpoint(ckpt)
+    wds = _require(_out(cfg, "test.wds"))
+    ds = md.load_dataset(wds)
+    forecast = _price_forecast(spec, params, ds)
     actuals = md.invert_minmax(ds.targets, ds.norm).reshape(-1)
-    report = im.evaluate(actuals, raw_prices, cfg.metrics)
-    return ds, raw_prices, actuals, report
-
-
-def _write_forecast_table(cfg: RunConfig, kind: str, ds, forecast, actuals):
+    report = im.evaluate(actuals, forecast, cfg.metrics)
+    atomic_write_text(_out(cfg, f"metrics-{kind}.txt"), report.to_text())
     levels = forecast.levels.levels
     header = "timestamp\tactual\t" + "\t".join(f"q{lv}" for lv in levels)
     rows = np.column_stack([ds.target_times, actuals, forecast.values])
     lines = [header, *("\t".join(map(repr, row)) for row in rows.tolist())]
     atomic_write_text(_out(cfg, f"forecast-{kind}.tsv"),
                       "\n".join(lines) + "\n")
+    save_forecast(_out(cfg, f"forecast-{kind}.bin"), forecast, (ckpt, wds))
+    return report
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    kind = cfg.model_kind
-    ckpt = _require(_out(cfg, f"model-{kind}.ckpt"))
-    _, spec, params = load_checkpoint(ckpt)
-    ds, forecast, actuals, report = _eval_forecast(cfg, spec, params)
-    atomic_write_text(_out(cfg, f"metrics-{kind}.txt"), report.to_text())
-    _write_forecast_table(cfg, kind, ds, forecast, actuals)
-    save_forecast(_out(cfg, f"forecast-{kind}.bin"), forecast,
-                  (ckpt, _out(cfg, "test.wds")))
-    print(report.to_text(), end="")
+    print(_eval_kind(cfg, cfg.model_kind).to_text(), end="")
 
 
 def _backtest_forecast(cfg: RunConfig, kind: str) -> QuantileForecast:
@@ -211,11 +210,8 @@ def cmd_compare(cfg: RunConfig) -> None:
     ds = md.load_dataset(_require(_out(cfg, "train.wds")))
     rows = ["Model\tPICP\tCWC"]
     for index, kind in enumerate(KINDS):
-        spec, params, _ = _train_model(cfg, kind, ds, cfg.seed + index)
-        save_checkpoint(_out(cfg, f"model-{kind}.ckpt"), kind, spec, params)
-        _, forecast, actuals, report = _eval_forecast(cfg, spec, params)
-        atomic_write_text(_out(cfg, f"metrics-{kind}.txt"), report.to_text())
-        rows.append(im.comparison_row(kind, report))
+        _train_kind(cfg, kind, ds, cfg.seed + index)
+        rows.append(im.comparison_row(kind, _eval_kind(cfg, kind)))
     atomic_write_text(_out(cfg, "compare.tsv"), "\n".join(rows) + "\n")
     print("\n".join(rows))
 

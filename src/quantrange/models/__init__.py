@@ -15,14 +15,12 @@ from .network import (
     ModelKind,
     ModelSpec,
     ParameterSet,
-    encoder_block,
     forward,
     init_params,
     loss_and_grads,
     zero_params,
 )
 from .training import TrainConfig, train
-from .gradcheck import GradCheckResult, gradient_check
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -30,8 +28,7 @@ __all__ = [
     "interval_bounds", "load_forecast", "repair_monotonic", "save_forecast",
     "mean_pinball", "pinball_loss",
     "KINDS", "LinearSpec", "MLPSpec", "ModelKind", "ModelSpec",
-    "ParameterSet", "encoder_block", "forward", "init_params",
+    "ParameterSet", "forward", "init_params",
     "loss_and_grads", "zero_params",
-    "TrainConfig", "train", "GradCheckResult", "gradient_check",
-    "load_checkpoint", "save_checkpoint",
+    "TrainConfig", "train", "load_checkpoint", "save_checkpoint",
 ]

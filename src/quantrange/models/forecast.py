@@ -75,13 +75,19 @@ _MAGIC = b"QRFCSTv1"
 
 def _digest(sources, payload: bytes) -> bytes:
     """sha256 over the sha256 of each source file's bytes, then `payload`."""
-    # imported here: hashlib loads OpenSSL (2–3 MB of RSS and 3–6 ms),
-    # which only the stages that write or read a forecast file need
-    import hashlib
-    outer = hashlib.sha256()
+    # CPython's own sha256 (`_sha2` from 3.12, `_sha256` before): hashlib
+    # would load OpenSSL, 2–3 MB of RSS and 3–6 ms
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    outer = sha256()
     for source in sources:
         with open(source, "rb") as fh:
-            outer.update(hashlib.sha256(fh.read()).digest())
+            outer.update(sha256(fh.read()).digest())
     outer.update(payload)
     return outer.digest()
 

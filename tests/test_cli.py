@@ -464,11 +464,11 @@ class TestPipeline:
         assert names == ["bars.tsv", "compare.tsv",
                          "drawdown-quantile-linear.tsv",
                          "equity-quantile-linear.tsv",
-                         "forecast-quantile-linear.tsv",
-                         "loss-quantile-linear.tsv"]
+                         *(f"forecast-{kind}.tsv" for kind in sorted(KINDS)),
+                         *(f"loss-{kind}.tsv" for kind in sorted(KINDS))]
         # files with a header row, and their text columns
         headed = {"bars.tsv": {6}, "compare.tsv": {0},
-                  "forecast-quantile-linear.tsv": set()}
+                  **{f"forecast-{kind}.tsv": set() for kind in KINDS}}
         for path, name in zip(paths, names):
             with open(path, encoding="utf-8") as fh:
                 rows = [line.rstrip("\n").split("\t") for line in fh]

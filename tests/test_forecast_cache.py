@@ -1,14 +1,20 @@
-"""`backtest` reads the forecast `eval` wrote to forecast-<kind>.bin when the
-file's digest matches the checkpoint and test.wds, and computes it again
-otherwise. Either way it writes the same bytes."""
+"""`backtest` reads the forecast `eval` or `compare` wrote to
+forecast-<kind>.bin when the file's digest matches the checkpoint and
+test.wds, and computes it again otherwise. Either way it writes the same
+bytes."""
 
+import importlib.util
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from quantrange import cli
 from quantrange.models import network
 from test_acceptance import ACCEPTANCE_CONFIG
+from test_cli import SRC
 from test_golden import BACKTEST_INDICATORS
 
 KINDS = ("futurequant", "quantile-linear", "quantile-mlp")
@@ -83,6 +89,42 @@ def test_hit_runs_no_network(evaluated, tmp_path, capsys, monkeypatch, kind):
     monkeypatch.setattr(network, "forward_raw", refuse)
     source, _ = backtest(configs[kind], out, capsys, kind)
     assert source.startswith("forecast: read ")
+
+
+def test_compare_then_backtest_reads_each_forecast(evaluated, tmp_path,
+                                                   capsys):
+    # compare writes forecast-<kind>.bin for each kind, so no backtest after
+    # it runs the network; futurequant is compare's first kind, trained from
+    # the config's seed as train does, so its backtest writes the bytes of
+    # train -> eval -> backtest
+    configs, _ = evaluated
+    out = tmp_path / "compare"
+    for command in ("synth", "ingest", "compare"):
+        run(command, configs["futurequant"], out)
+    for kind in KINDS:
+        source, _ = backtest(configs[kind], out, capsys, kind)
+        assert source == f"forecast: read {out / f'forecast-{kind}.bin'}"
+    _, pipeline = copy_of(evaluated, tmp_path)
+    assert backtest(configs["futurequant"], pipeline, capsys,
+                    "futurequant")[1] == artifacts(out, "futurequant")
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this Python has no built-in sha256")
+@pytest.mark.parametrize("command", ["eval", "backtest"])
+def test_digest_loads_no_openssl(evaluated, tmp_path, command):
+    # CPython's own sha256 checks the digest: hashlib would load OpenSSL's
+    # _hashlib, 2-3 MB of RSS and 3-6 ms
+    configs, out = copy_of(evaluated, tmp_path)
+    code = ("import sys\nfrom quantrange.cli import main\n"
+            f"assert main([{command!r}, '--config', "
+            f"{str(configs['futurequant'])!r}, '--out', {str(out)!r}]) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def stale_by_retraining(configs, out):

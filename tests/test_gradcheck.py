@@ -6,10 +6,12 @@ from quantrange.models import (
     MLPSpec,
     ModelSpec,
     QuantileLevels,
-    gradient_check,
     init_params,
+    loss_and_grads,
+    zero_params,
 )
 from quantrange.models.network import backward_raw, forward_raw
+from reference_network import central_difference, gradient_check, relu_masks
 
 DENSE_SPECS = pytest.mark.parametrize("spec", [
     LinearSpec(num_inputs=3, levels=QuantileLevels((0.25, 0.75))),
@@ -21,7 +23,7 @@ def squared_loss_and_grads(spec, params, x, y):
     """Mean squared error of every quantile column against y, and its
     gradients: a smooth loss, so plain central differences apply at every
     coordinate."""
-    out, caches, _ = forward_raw(spec, params, x)
+    out, caches = forward_raw(spec, params, x)
     residual = out - y[:, None]
     return (float((residual ** 2).mean()),
             backward_raw(spec, caches, 2.0 * residual / residual.size))
@@ -100,3 +102,38 @@ def test_dense_kinds_pinball_gradient_check(spec, seed):
     result = gradient_check(spec, params, x, y, num_params=200, seed=seed)
     assert result.max_rel_error <= 1e-6
     assert result.checked > 0
+
+
+def test_coordinate_on_a_kink_is_skipped():
+    # zero weights and a zero target put both outputs exactly on the
+    # target, so +h and -h on any coordinate land on opposite sides of a
+    # pinball kink, where the central difference is not the gradient
+    spec = LinearSpec(num_inputs=1, levels=QuantileLevels((0.25, 0.75)))
+    params = zero_params(spec)
+    x, y = np.ones((1, 1)), np.zeros(1)
+    size = params.flat.size
+    result = gradient_check(spec, params, x, y, num_params=size)
+    assert result.skipped_kinks == size > 0
+    assert result.checked == 0
+    _, grads = loss_and_grads(spec, params, x, y)
+    analytic = np.concatenate([grads[name].ravel() for name in params.arrays])
+    for i in range(size):
+        numeric, smooth = central_difference(spec, params, x, y, i, 1e-5)
+        assert not smooth
+        assert abs(numeric - analytic[i]) > 1e-4
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    # num_blocks + 2 masks for futurequant, 2 for the MLP, none for linear
+    (ModelSpec(num_blocks=3, conv_channels=7, dropout_rate=0.0),
+     [(4, 5, 7)] * 3 + [(4, 32), (4, 16)]),
+    (MLPSpec(num_inputs=5, hidden=(6, 4)), [(4, 6), (4, 4)]),
+    (LinearSpec(num_inputs=5), []),
+], ids=["futurequant", "mlp", "linear"])
+def test_signature_reads_every_relu_mask(spec, shapes):
+    rng = np.random.default_rng(0)
+    params = init_params(spec, rng)
+    _, caches = forward_raw(spec, params, rng.uniform(-1, 1, (4, 5, 1)))
+    masks = relu_masks(caches)
+    assert [m.shape for m in masks] == shapes
+    assert all(m.dtype == bool for m in masks)

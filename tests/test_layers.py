@@ -4,7 +4,6 @@ import pytest
 from quantrange.errors import DimensionMismatch, ShapeMismatch
 from quantrange.models import (
     ModelSpec,
-    encoder_block,
     forward,
     init_params,
     zero_params,
@@ -17,6 +16,7 @@ from quantrange.models.layers import (
     relu_forward,
     softmax,
 )
+from reference_network import encoder_block
 
 
 def layer_norm(x, gamma, shift, epsilon=1e-5):

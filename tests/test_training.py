@@ -149,7 +149,7 @@ class TestEveryKind:
         _, history = train(spec, x, y,
                            TrainConfig(epochs=2, batch_size=8, seed=3))
         init = init_params(spec, np.random.default_rng(3))
-        assert history[0] == loss_value(spec, init, x, y)[0]
+        assert history[0] == loss_value(spec, init, x, y)
         assert len(batch_losses) == 6      # 3 batches of <= 8 per epoch
         assert history[1:] == [sum(batch_losses[:3]) / 3,
                                sum(batch_losses[3:]) / 3]
