@@ -1,12 +1,6 @@
 """quantrange: quantile-range price forecasting, prediction-interval
-evaluation, indicator-driven signals, and backtesting at desk scale."""
-
-from . import backtest, indicators, interval_metrics, market_data, models
-from . import strategy, synthetic
+evaluation, indicator-driven signals, and backtesting at desk scale.
+The package imports none of its modules: import each name from the
+module that defines it."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "backtest", "indicators", "interval_metrics", "market_data", "models",
-    "strategy", "synthetic", "__version__",
-]

@@ -16,19 +16,14 @@ from . import interval_metrics as im
 from . import market_data as md
 from . import svg
 from .config import RunConfig, load_config
-from .errors import InvalidSpec, MissingArtifact, QuantRangeError
+from .errors import ConfigError, InvalidSpec, MissingArtifact, QuantRangeError
 from .io_utils import atomic_write_text
-from .models import (
-    KINDS,
-    QuantileForecast,
-    forward,
-    load_checkpoint,
-    load_forecast,
-    repair_monotonic,
-    save_checkpoint,
-    save_forecast,
-    train,
+from .models.checkpoint import load_checkpoint, save_checkpoint
+from .models.forecast import (
+    QuantileForecast, load_forecast, repair_monotonic, save_forecast,
 )
+from .models.network import KINDS, forward
+from .models.training import train
 from .strategy import REASONS
 from .synthetic import generate, to_tick_text
 
@@ -69,10 +64,17 @@ def cmd_ingest(cfg: RunConfig) -> None:
     source = cfg.source
     if source == "synthetic":
         source = _out(cfg, "ticks.csv")
-    with open(_require(source), "r", encoding="utf-8") as fh:
+    try:
+        fh = open(_require(source), "r", encoding="utf-8")
+    except OSError as exc:
+        raise MissingArtifact(f"{source}: {exc.strerror}") from None
+    with fh:
         parsed = md.parse_ticks(fh, delimiter=cfg.delimiter)
     ticks = parsed.records
-    bars = md.resample(ticks, cfg.bar_interval)
+    try:
+        bars = md.resample(ticks, cfg.bar_interval)
+    except ValueError as exc:
+        raise ConfigError(f"[data] bar_interval: {exc}") from None
     # resample checked that the timestamps never decrease, so the buckets
     # do not either, and each change of bucket opens a populated bar
     bucket = (ticks.timestamp - ticks.timestamp[0]) // cfg.bar_interval
@@ -80,6 +82,9 @@ def cmd_ingest(cfg: RunConfig) -> None:
     print(f"read {len(ticks)} ticks ({parsed.dropped_rows} rows dropped), "
           f"{len(bars)} bars ({len(bars) - populated} forward-filled)")
     n_train = int(len(bars) * cfg.split_train)
+    if not n_train:
+        raise ConfigError(f"{source}: [data] split_train = {cfg.split_train}"
+                          f" of {len(bars)} bar(s) leaves no train bar")
     n_val = int(len(bars) * cfg.split_val)
     names = {"train": bars[:n_train], "val": bars[n_train:n_train + n_val],
              "test": bars[n_train + n_val:]}
@@ -118,7 +123,7 @@ def _train_kind(cfg: RunConfig, kind: str, ds: md.WindowedDataset,
     spec = cfg.specs[kind]
     config = KINDS[kind].train_config(replace(cfg.train, seed=seed))
     params, history = train(spec, ds.inputs, ds.targets, config)
-    save_checkpoint(_out(cfg, f"model-{kind}.ckpt"), kind, spec, params)
+    save_checkpoint(_out(cfg, f"model-{kind}.ckpt"), spec, params)
     atomic_write_text(_out(cfg, f"loss-{kind}.tsv"), _indexed_tsv(history))
     return history
 
@@ -177,7 +182,8 @@ def cmd_backtest(cfg: RunConfig) -> None:
     repaired = repair_monotonic(_backtest_forecast(cfg, kind))
     test_bars = _read_bars_tsv(cfg, "test")
     warm_up = max(cfg.indicators.rsi_period, cfg.indicators.atr_period)
-    if len(test_bars) <= warm_up + cfg.window_in:
+    too_short = len(test_bars) <= warm_up + cfg.window_in
+    if too_short:
         print(f"warning: the test split has {len(test_bars)} bars, no more "
               f"than the indicator warm-up plus window_in "
               f"({warm_up} + {cfg.window_in}), so it cannot trade",
@@ -203,6 +209,9 @@ def cmd_backtest(cfg: RunConfig) -> None:
     counts = dict(zip(*np.unique(result.signals.reason, return_counts=True)))
     reasons = ", ".join(f"{counts[r]} {r}" for r in REASONS if r in counts)
     print(f"signals: {reasons}; {len(result.trades)} trades")
+    if not result.trades and not too_short:
+        print(f"warning: the backtest made no trade (signals: {reasons})",
+              file=sys.stderr)
     print(bt.summary_text(result), end="")
 
 

@@ -7,6 +7,7 @@ fast instead of silently falling back to defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, InvalidSpec
@@ -55,8 +56,13 @@ def _convert(section: str, key: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
+        if kind in ("float", "floats"):
+            values = ([float(raw)] if kind == "float"
+                      else [float(x) for x in raw.split(",")])
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"[{section}] {key} must be finite, "
+                                  f"not {raw!r}")
+            return values[0] if kind == "float" else tuple(values)
         if kind == "bool":
             if raw.lower() in ("true", "1", "yes", "on"):
                 return True
@@ -65,8 +71,6 @@ def _convert(section: str, key: str, raw: str):
             raise ValueError(raw)
         if kind == "ints":
             return tuple(int(x) for x in raw.split(","))
-        if kind == "floats":
-            return tuple(float(x) for x in raw.split(","))
         return raw
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}")
@@ -134,6 +138,9 @@ def load_config(path: str, seed_override: int | None = None,
     cfg.out_dir = out_override or run.get("out_dir", cfg.out_dir)
     cfg.seed = seed_override if seed_override is not None \
         else run.get("seed", cfg.seed)
+    if cfg.seed < 0:
+        where = "--seed" if seed_override is not None else "[run] seed"
+        raise ConfigError(f"{where} {cfg.seed} is not >= 0")
 
     data = dict(sec("data"))
     window_out = data.pop("window_out", 1)
@@ -142,6 +149,8 @@ def load_config(path: str, seed_override: int | None = None,
     splits = cfg.split_train + cfg.split_val + cfg.split_test
     if abs(splits - 1.0) > 1e-9:
         raise ConfigError(f"split fractions sum to {splits}, expected 1")
+    if not cfg.delimiter:
+        raise ConfigError("[data] delimiter is empty")
     if not cfg.bar_interval > 0:
         raise ConfigError(f"[data] bar_interval {cfg.bar_interval} is not > 0")
     if cfg.stride < 1:
@@ -174,13 +183,18 @@ def load_config(path: str, seed_override: int | None = None,
 
     bt = sec("backtest")
     cfg.initial_capital = bt.get("initial_capital", cfg.initial_capital)
+    if not cfg.initial_capital > 0:
+        raise ConfigError("[backtest] initial_capital "
+                          f"{cfg.initial_capital} is not > 0")
     horizons_raw = bt.get("horizons", "")
     horizons: dict[str, int] = {}
     for item in filter(None, (s.strip() for s in horizons_raw.split(","))):
         name, _, bars = item.partition(":")
-        try:
-            horizons[name] = int(bars)
-        except ValueError:
-            raise ConfigError(f"[backtest] horizons: bad entry {item!r}")
+        if not name or not bars.strip().isdecimal():
+            raise ConfigError(f"[backtest] horizons: bad entry {item!r}, "
+                              "expected name:bars with bars >= 0")
+        if name in horizons:
+            raise ConfigError(f"[backtest] horizons: {name!r} appears twice")
+        horizons[name] = int(bars)
     cfg.horizons = horizons
     return cfg

@@ -26,6 +26,9 @@ from .errors import (
     NonMonotoneTimestamp,
 )
 
+# resample refuses an interval that would forward-fill more bars than this
+_MAX_FILLED_BARS = 2 ** 24
+
 TICK_FIELDS = ("UpdateTime", "UpdateMillisec", "LastPrice", "Volume",
                "BidPrice1", "BidVolume1", "AskPrice1", "AskVolume1")
 # the TICK_FIELDS in order: UpdateTime in seconds (within day or epoch,
@@ -229,6 +232,11 @@ def resample(ticks: np.recarray, interval: float = 30.0) -> np.recarray:
     if not (np.isfinite(ts).all() and (np.diff(ts) >= 0).all()):
         raise NonMonotoneTimestamp(
             0, "resample needs finite timestamps in non-decreasing order")
+    span = float(ts[-1] - ts[0])
+    if span // interval >= len(ticks) + _MAX_FILLED_BARS:
+        raise ValueError(f"{interval!r} s bars over the {span!r} s of "
+                         f"{len(ticks)} ticks would forward-fill more than "
+                         f"{_MAX_FILLED_BARS} bars")
     bucket = ((ts - ts[0]) // interval).astype(np.int64)
     first = np.flatnonzero(np.diff(bucket, prepend=-1))  # tick opening a bar
     last = np.append(first[1:], len(ticks)) - 1

@@ -47,9 +47,8 @@ def _spec_from_lines(lines: list[str]):
     return kind, cls(**kwargs)
 
 
-def save_checkpoint(path: str, kind: str, spec, params: ParameterSet) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+def save_checkpoint(path: str, spec, params: ParameterSet) -> None:
+    kind, = (k for k, entry in KINDS.items() if type(spec) is entry.spec_class)
     buf = io.BytesIO()
     buf.write(_MAGIC)
     header = "\n".join(_spec_to_lines(kind, spec)).encode("utf-8")
@@ -89,6 +88,8 @@ def load_checkpoint(path: str):
             size = int(np.prod(shape)) if ndim else 1
             arrays[name] = np.frombuffer(data, "<f8", size, off).reshape(shape)
             off += 8 * size
+        if off != len(data):
+            raise ValueError(f"{len(data) - off} bytes after the last array")
     except (struct.error, KeyError, TypeError, ValueError) as exc:
         raise MissingArtifact(
             f"{path}: truncated or corrupt checkpoint ({exc})") from exc

@@ -18,19 +18,20 @@ from quantrange.backtest import cumulative_return, drawdown
 from quantrange.cli import main
 from quantrange.indicators import shape_from_quantiles
 from quantrange.interval_metrics import MetricConfig, crossing_rate, cwc
-from quantrange.models import (
-    LinearSpec,
-    ModelSpec,
+from quantrange.models.forecast import (
     QuantileForecast,
     QuantileLevels,
-    TrainConfig,
-    forward,
-    init_params,
     repair_monotonic,
-    train,
-    zero_params,
 )
 from quantrange.models.layers import softmax
+from quantrange.models.network import (
+    LinearSpec,
+    ModelSpec,
+    forward,
+    init_params,
+    zero_params,
+)
+from quantrange.models.training import TrainConfig, train
 from quantrange.strategy import SignalKind, generate_signal
 from quantrange.synthetic import SyntheticSpec, generate, oracle_forecast
 from reference_backtest import scenario_test

@@ -12,7 +12,7 @@ from quantrange.cli import main
 from quantrange.errors import AlignmentError, RuinousReturn
 from quantrange.indicators import IndicatorConfig
 from quantrange.market_data import BAR_DTYPE
-from quantrange.models import QuantileForecast, QuantileLevels
+from quantrange.models.forecast import QuantileForecast, QuantileLevels
 from quantrange.strategy import Side, StrategyConfig
 from reference_backtest import scenario_test
 from test_acceptance import ACCEPTANCE_CONFIG
@@ -221,3 +221,28 @@ class TestTradeLogMatchesEquity:
         assert any(r.held[-1] != 0 for r in results)
         for result in results:
             assert_trades_add_up(result, 1_000_000.0, 0.0)
+
+    def test_no_trade_warning(self, tmp_path, capsys):
+        # c10's config makes no trade with the default indicator settings;
+        # the golden indicators make three, as in the golden test
+        out = str(tmp_path / "out")
+        config = tmp_path / "run.ini"
+        config.write_text(ACCEPTANCE_CONFIG)
+        for command in ("synth", "ingest", "train"):
+            assert main([command, "--config", str(config), "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["backtest", "--config", str(config), "--out", out]) == 0
+        captured = capsys.readouterr()
+        signals = next(line for line in captured.out.splitlines()
+                       if line.startswith("signals: "))
+        assert signals.endswith("; 0 trades")
+        reasons = signals[len("signals: "):-len("; 0 trades")]
+        assert captured.err == ("warning: the backtest made no trade "
+                                f"(signals: {reasons})\n")
+        assert "warning:" not in captured.out
+
+        config.write_text(ACCEPTANCE_CONFIG + BACKTEST_INDICATORS)
+        assert main(["backtest", "--config", str(config), "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert "; 3 trades" in captured.out
+        assert captured.err == ""

@@ -13,7 +13,7 @@ from quantrange import synthetic
 from quantrange.cli import main
 from quantrange.config import load_config
 from quantrange.errors import ConfigError
-from quantrange.models import KINDS
+from quantrange.models.network import KINDS
 from test_acceptance import ACCEPTANCE_CONFIG
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -105,6 +105,20 @@ class TestConfigLoading:
         ("synthetic", "[synthetic]\nsigma0 = 0.0\n"),
         ("synthetic", "[synthetic]\nkind = bogus\n"),
         ("synthetic", "[synthetic]\nlength = 1\n"),
+        # a nan split passed the sum check, then ingest raised a ValueError
+        ("data", "[data]\nsplit_train = nan\n"),
+        ("data", "[data]\nbar_interval = inf\n"),
+        # nan and inf ran through to nan metrics and equity
+        ("metrics", "[metrics]\neta = nan\n"),
+        ("train", "[train]\nlearning_rate = nan\n"),
+        ("backtest", "[backtest]\ninitial_capital = nan\n"),
+        ("backtest", "[backtest]\ninitial_capital = -inf\n"),
+        # a capital of 0 wrote volatility = nan and a RuntimeWarning
+        ("backtest", "[backtest]\ninitial_capital = 0\n"),
+        ("backtest", "[backtest]\nhorizons = :5\n"),
+        ("backtest", "[backtest]\nhorizons = day:-1\n"),
+        # a repeated name silently kept the last
+        ("backtest", "[backtest]\nhorizons = day:5,day:6\n"),
     ])
     def test_rejected_value_exits_cleanly(self, tmp_path, capsys, section,
                                           text):
@@ -130,6 +144,32 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {config}: ")
+        assert "Traceback" not in err
+
+    # each raised a raw exception in synth or ingest
+    @pytest.mark.parametrize("text, args, named", [
+        # fit_minmax on the empty train split
+        ("[data]\nsplit_train = 0.0\nsplit_val = 0.5\nsplit_test = 0.5\n", [],
+         "[data] split_train"),
+        # two ticks make a single bar
+        ("[synthetic]\nlength = 2\n", [], "ticks.csv"),
+        # the bar index overflowed int64
+        ("[data]\nbar_interval = 1e-300\n", [], "[data] bar_interval"),
+        ("[data]\ndelimiter =\n", [], "[data] delimiter"),
+        # default_rng rejects a negative seed
+        ("[run]\nseed = -1\n", [], "[run] seed"),
+        ("", ["--seed", "-1"], "--seed"),
+        ("[data]\nsource = {tmp}\n", [], "{tmp}"),
+    ])
+    def test_broken_run_exits_cleanly(self, tmp_path, capsys, text, args,
+                                      named):
+        tmp = str(tmp_path)
+        config = write_config(tmp_path, text.format(tmp=tmp))
+        codes = [main([command, "--config", config, "--out", tmp + "/out",
+                       *args]) for command in ("synth", "ingest")]
+        err = capsys.readouterr().err
+        assert codes[-1] == 1    # synth exits 0, or 1 on a config error
+        assert err.startswith("error:") and named.format(tmp=tmp) in err
         assert "Traceback" not in err
 
     def test_readme_example_loads(self, tmp_path):
@@ -353,7 +393,11 @@ class TestPipeline:
         config = readme_config(tmp_path, out_dir=tmp_path / "out")
         for command in ("synth", "ingest", "train", "backtest"):
             assert main([command, "--config", config]) == 0, command
-        assert "warning:" not in capsys.readouterr().err
+        # no warm-up warning; the one warning is that the default indicator
+        # settings make no trade on this run
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert err.startswith("warning: the backtest made no trade (signals: ")
 
     def test_warm_up_warning(self, tmp_path, capsys):
         # 6000 ticks make 100 bars, and a 15-bar test split is no longer

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from quantrange.errors import MissingLevel
-from quantrange.models import (
+from quantrange.models.forecast import (
     QuantileForecast,
     QuantileLevels,
     interval_bounds,
-    pinball_loss,
     repair_monotonic,
 )
+from quantrange.models.losses import pinball_loss
 
 
 class TestPinballLoss:

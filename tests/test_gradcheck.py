@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from quantrange.models import (
+from quantrange.models.forecast import QuantileLevels
+from quantrange.models.network import (
     LinearSpec,
     MLPSpec,
     ModelSpec,
-    QuantileLevels,
+    backward_raw,
+    forward_raw,
     init_params,
     loss_and_grads,
     zero_params,
 )
-from quantrange.models.network import backward_raw, forward_raw
 from reference_network import central_difference, gradient_check, relu_masks
 
 DENSE_SPECS = pytest.mark.parametrize("spec", [

@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 
 from quantrange.errors import ShapeMismatch
-from quantrange.models import (
+from quantrange.models import network
+from quantrange.models.forecast import QuantileLevels
+from quantrange.models.losses import mean_pinball
+from quantrange.models.network import (
+    INFER_CHUNK,
     LinearSpec,
     MLPSpec,
     ModelSpec,
-    QuantileLevels,
     forward,
+    forward_raw,
     init_params,
+    loss_value,
 )
-from quantrange.models import network
-from quantrange.models.losses import mean_pinball
-from quantrange.models.network import INFER_CHUNK, forward_raw, loss_value
 
 C = INFER_CHUNK
 SIZES = (1, C - 1, C, C + 1, 2 * C + 1, 8000)

@@ -2,12 +2,6 @@ import numpy as np
 import pytest
 
 from quantrange.errors import DimensionMismatch, ShapeMismatch
-from quantrange.models import (
-    ModelSpec,
-    forward,
-    init_params,
-    zero_params,
-)
 from quantrange.models.layers import (
     conv1d_forward,
     gap_forward,
@@ -15,6 +9,12 @@ from quantrange.models.layers import (
     mha_forward,
     relu_forward,
     softmax,
+)
+from quantrange.models.network import (
+    ModelSpec,
+    forward,
+    init_params,
+    zero_params,
 )
 from reference_network import encoder_block
 

@@ -14,7 +14,11 @@ from quantrange.interval_metrics import (
     picp,
     pinaw,
 )
-from quantrange.models import QuantileForecast, QuantileLevels, repair_monotonic
+from quantrange.models.forecast import (
+    QuantileForecast,
+    QuantileLevels,
+    repair_monotonic,
+)
 
 
 def intervals(*pairs):

@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from quantrange.errors import NonFiniteLoss, ShapeMismatch
-from quantrange.models import (
+from quantrange.models import training
+from quantrange.models.checkpoint import load_checkpoint, save_checkpoint
+from quantrange.models.forecast import QuantileLevels
+from quantrange.models.network import (
     KINDS,
     LinearSpec,
     MLPSpec,
     ModelSpec,
     ParameterSet,
-    QuantileLevels,
-    TrainConfig,
     forward,
     init_params,
-    train,
+    loss_value,
 )
-from quantrange.models import training
-from quantrange.models.checkpoint import load_checkpoint, save_checkpoint
-from quantrange.models.network import loss_value
+from quantrange.models.training import TrainConfig, train
 
 # the linear kind's schedule: one full batch per epoch, step lr/sqrt(1 + t)
 FULL_BATCH = {"batch_size": None, "lr_schedule": "inverse-sqrt"}
@@ -225,7 +224,7 @@ class TestParameterSet:
         spec = ModelSpec(num_blocks=1)
         params = self.params()
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, "futurequant", spec, params)
+        save_checkpoint(path, spec, params)
         _, _, back = load_checkpoint(path)
         assert np.array_equal(back.flat, params.flat)
         for name, a in back.arrays.items():
