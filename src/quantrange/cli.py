@@ -16,8 +16,8 @@ from . import interval_metrics as im
 from . import market_data as md
 from . import svg
 from .config import RunConfig, load_config
-from .errors import ConfigError, InvalidSpec, MissingArtifact, QuantRangeError
-from .io_utils import atomic_write_text
+from .errors import AlignmentError, ConfigError, InvalidSpec, QuantRangeError
+from .io_utils import atomic_write_text, reading
 from .models.checkpoint import load_checkpoint, save_checkpoint
 from .models.forecast import (
     QuantileForecast, load_forecast, repair_monotonic, save_forecast,
@@ -32,13 +32,6 @@ train_linear = train    # perfbench/tracing.py still wraps this name
 
 def _out(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
-
-
-def _require(path: str) -> str:
-    if not os.path.exists(path):
-        raise MissingArtifact(f"required artifact missing: {path} "
-                              "(run the earlier pipeline stage first)")
-    return path
 
 
 def _indexed_tsv(values) -> str:
@@ -64,11 +57,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     source = cfg.source
     if source == "synthetic":
         source = _out(cfg, "ticks.csv")
-    try:
-        fh = open(_require(source), "r", encoding="utf-8")
-    except OSError as exc:
-        raise MissingArtifact(f"{source}: {exc.strerror}") from None
-    with fh:
+    with reading(source, "tick file", "r") as fh:
         parsed = md.parse_ticks(fh, delimiter=cfg.delimiter)
     ticks = parsed.records
     try:
@@ -82,12 +71,16 @@ def cmd_ingest(cfg: RunConfig) -> None:
     print(f"read {len(ticks)} ticks ({parsed.dropped_rows} rows dropped), "
           f"{len(bars)} bars ({len(bars) - populated} forward-filled)")
     n_train = int(len(bars) * cfg.split_train)
-    if not n_train:
-        raise ConfigError(f"{source}: [data] split_train = {cfg.split_train}"
-                          f" of {len(bars)} bar(s) leaves no train bar")
     n_val = int(len(bars) * cfg.split_val)
     names = {"train": bars[:n_train], "val": bars[n_train:n_train + n_val],
              "test": bars[n_train + n_val:]}
+    for name, split in names.items():
+        if len(split) <= cfg.window_in:
+            raise ConfigError(
+                f"{source}: [data] split_{name} = "
+                f"{getattr(cfg, 'split_' + name)} of {len(bars)} bar(s) "
+                f"leaves {len(split)} {name} bar(s), too few for window_in "
+                f"= {cfg.window_in} + 1 target bar")
     norm = md.fit_minmax(names["train"].close)
     for name, split in names.items():
         ds = md.make_windows(split, norm, cfg.window_in, cfg.stride)
@@ -104,9 +97,9 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 
 def _read_bars_tsv(cfg: RunConfig, split: str) -> np.recarray:
-    rows = np.loadtxt(_require(_out(cfg, "bars.tsv")), delimiter="\t",
-                      dtype=md.BAR_DTYPE.descr + [("split", "U5")],
-                      skiprows=1, ndmin=1)
+    with reading(_out(cfg, "bars.tsv"), "bar table", "r") as fh:
+        rows = np.loadtxt(fh, delimiter="\t", skiprows=1, ndmin=1,
+                          dtype=md.BAR_DTYPE.descr + [("split", "U5")])
     rows = rows[rows["split"] == split][list(md.BAR_DTYPE.names)]
     return rows.astype(md.BAR_DTYPE).view(np.recarray)
 
@@ -129,7 +122,7 @@ def _train_kind(cfg: RunConfig, kind: str, ds: md.WindowedDataset,
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    ds = md.load_dataset(_require(_out(cfg, "train.wds")))
+    ds = md.load_dataset(_out(cfg, "train.wds"))
     kind = cfg.model_kind
     history = _train_kind(cfg, kind, ds, cfg.seed)
     print(f"wrote {_out(cfg, f'model-{kind}.ckpt')} "
@@ -139,9 +132,9 @@ def cmd_train(cfg: RunConfig) -> None:
 def _eval_kind(cfg: RunConfig, kind: str) -> im.MetricsReport:
     """Score `kind`'s checkpoint on test.wds: write its metrics, its forecast
     table and forecast-<kind>.bin, and return the report."""
-    ckpt = _require(_out(cfg, f"model-{kind}.ckpt"))
+    ckpt = _out(cfg, f"model-{kind}.ckpt")
     _, spec, params = load_checkpoint(ckpt)
-    wds = _require(_out(cfg, "test.wds"))
+    wds = _out(cfg, "test.wds")
     ds = md.load_dataset(wds)
     forecast = _price_forecast(spec, params, ds)
     actuals = md.invert_minmax(ds.targets, ds.norm).reshape(-1)
@@ -165,8 +158,8 @@ def _backtest_forecast(cfg: RunConfig, kind: str) -> QuantileForecast:
     """eval's forecast, read from forecast-<kind>.bin when that file was
     written from the checkpoint and test.wds as they are now, else
     computed again from them."""
-    ckpt = _require(_out(cfg, f"model-{kind}.ckpt"))
-    wds = _require(_out(cfg, "test.wds"))
+    ckpt = _out(cfg, f"model-{kind}.ckpt")
+    wds = _out(cfg, "test.wds")
     cached = _out(cfg, f"forecast-{kind}.bin")
     forecast = load_forecast(cached, (ckpt, wds))
     if forecast is not None:
@@ -181,6 +174,14 @@ def cmd_backtest(cfg: RunConfig) -> None:
     kind = cfg.model_kind
     repaired = repair_monotonic(_backtest_forecast(cfg, kind))
     test_bars = _read_bars_tsv(cfg, "test")
+    # make_windows' target bars; the decision bar is the one before each
+    targets = np.arange(cfg.window_in, len(test_bars), cfg.stride)
+    if len(targets) != len(repaired.values):
+        raise AlignmentError(
+            f"{_out(cfg, 'bars.tsv')}: {len(test_bars)} test bars make "
+            f"{len(targets)} windows at window_in = {cfg.window_in} and "
+            f"stride = {cfg.stride}, not the forecast's "
+            f"{len(repaired.values)} (ingest again after changing them)")
     warm_up = max(cfg.indicators.rsi_period, cfg.indicators.atr_period)
     too_short = len(test_bars) <= warm_up + cfg.window_in
     if too_short:
@@ -189,8 +190,7 @@ def cmd_backtest(cfg: RunConfig) -> None:
               f"({warm_up} + {cfg.window_in}), so it cannot trade",
               file=sys.stderr)
     aligned = np.full((len(test_bars), repaired.values.shape[1]), np.nan)
-    decision_bars = np.arange(len(repaired.values)) * cfg.stride
-    aligned[decision_bars + cfg.window_in - 1] = repaired.values
+    aligned[targets - 1] = repaired.values
     forecast = QuantileForecast(values=aligned, levels=repaired.levels)
 
     result = bt.run_backtest(
@@ -216,7 +216,7 @@ def cmd_backtest(cfg: RunConfig) -> None:
 
 
 def cmd_compare(cfg: RunConfig) -> None:
-    ds = md.load_dataset(_require(_out(cfg, "train.wds")))
+    ds = md.load_dataset(_out(cfg, "train.wds"))
     rows = ["Model\tPICP\tCWC"]
     for index, kind in enumerate(KINDS):
         _train_kind(cfg, kind, ds, cfg.seed + index)

@@ -10,7 +10,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, InvalidSpec
+from .errors import ConfigError, InvalidSpec, MissingLevel
 from .indicators import IndicatorConfig
 from .interval_metrics import MetricConfig
 from .models.forecast import QuantileLevels
@@ -178,6 +178,16 @@ def load_config(path: str, seed_override: int | None = None,
 
     cfg.train = _build("train", TrainConfig, seed=cfg.seed, **sec("train"))
     cfg.metrics = _build("metrics", MetricConfig, **sec("metrics"))
+    levels, beta = cfg.specs[cfg.model_kind].levels, cfg.metrics.beta
+    for level, needs in ((beta / 2, f"[metrics] beta = {beta}"),
+                         (1 - beta / 2, f"[metrics] beta = {beta}"),
+                         (0.05, "the backtest's lower band"),
+                         (0.95, "the backtest's upper band")):
+        try:
+            levels.index_of(level)
+        except MissingLevel:
+            raise ConfigError(f"[model] levels {levels.levels} lack "
+                              f"{level!r}, which {needs} needs") from None
     cfg.indicators = _build("indicators", IndicatorConfig, **sec("indicators"))
     cfg.strategy = _build("strategy", StrategyConfig, **sec("strategy"))
 

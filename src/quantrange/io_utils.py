@@ -1,9 +1,14 @@
-"""Atomic file writes (temp + rename) so reruns never leave partial artifacts."""
+"""Atomic file writes (temp + rename) so reruns never leave partial
+artifacts, and the one failure rule for every file a stage reads."""
 
 from __future__ import annotations
 
 import os
+import struct
 import tempfile
+from contextlib import contextmanager
+
+from .errors import MissingArtifact
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -22,3 +27,22 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+@contextmanager
+def reading(path: str, what: str, mode: str = "rb"):
+    """`path` opened for the block, which parses it as a `what`. A missing
+    file, any other OSError, and a struct.error, KeyError, TypeError or
+    ValueError raised in the block (the file is truncated or corrupt) each
+    become a MissingArtifact naming `path`; other errors pass through."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise MissingArtifact(f"required artifact missing: {path} (run the "
+                              "earlier pipeline stage first)") from None
+    except OSError as exc:
+        raise MissingArtifact(f"{path}: {exc.strerror}") from None
+    except (struct.error, KeyError, TypeError, ValueError) as exc:
+        raise MissingArtifact(
+            f"{path}: truncated or corrupt {what} ({exc})") from exc

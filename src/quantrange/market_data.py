@@ -25,6 +25,7 @@ from .errors import (
     MissingField,
     NonMonotoneTimestamp,
 )
+from .io_utils import reading
 
 # resample refuses an interval that would forward-fill more bars than this
 _MAX_FILLED_BARS = 2 ** 24
@@ -327,11 +328,10 @@ def save_dataset(ds: WindowedDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> WindowedDataset:
-    with open(path, "rb") as fh:
+    with reading(path, "dataset") as fh:
         data = fh.read()
-    if data[:8] != _MAGIC:
-        raise MissingArtifact(f"{path}: not a dataset file")
-    try:
+        if data[:8] != _MAGIC:
+            raise MissingArtifact(f"{path}: not a dataset file")
         off = 8
         (version,) = struct.unpack_from("<I", data, off); off += 4
         if version != _VERSION:
@@ -356,6 +356,3 @@ def load_dataset(path: str) -> WindowedDataset:
             raise ValueError(f"{extra} bytes after the targets")
         return WindowedDataset(inputs=inputs, targets=targets, feature_names=names,
                                norm=norm, target_times=times)
-    except (struct.error, ValueError) as exc:
-        raise MissingArtifact(
-            f"{path}: truncated or corrupt dataset ({exc})") from exc

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import io
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from ..errors import MissingArtifact
-from ..io_utils import atomic_write_bytes
+from ..io_utils import atomic_write_bytes, reading
 from .forecast import QuantileLevels
 from .network import KINDS, ParameterSet, parameter_shapes
 
@@ -27,24 +28,19 @@ def _spec_to_lines(kind: str, spec) -> list[str]:
     return lines
 
 
+# header value parsers by spec field annotation (postponed, so a string)
+_PARSE = {"int": int, "float": float,
+          "tuple[int, int]": lambda v: tuple(map(int, v.split(","))),
+          "QuantileLevels": lambda v: QuantileLevels(v.split(","))}
+
+
 def _spec_from_lines(lines: list[str]):
-    kv = {}
-    for line in lines:
-        key, _, value = line.partition(" = ")
-        kv[key] = value
+    kv = dict(line.partition(" = ")[::2] for line in lines)
     kind = kv.pop("kind")
     cls = KINDS[kind].spec_class
-    kwargs = {}
-    for key, value in kv.items():
-        if key == "levels":
-            kwargs[key] = QuantileLevels(tuple(float(x) for x in value.split(",")))
-        elif key in ("dense_units", "hidden"):
-            kwargs[key] = tuple(int(x) for x in value.split(","))
-        elif key in ("dropout_rate", "ln_epsilon"):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = int(value)
-    return kind, cls(**kwargs)
+    types = {f.name: f.type for f in fields(cls)}
+    return kind, cls(**{key: _PARSE[types[key]](value)
+                        for key, value in kv.items()})
 
 
 def save_checkpoint(path: str, spec, params: ParameterSet) -> None:
@@ -66,14 +62,10 @@ def save_checkpoint(path: str, spec, params: ParameterSet) -> None:
 
 
 def load_checkpoint(path: str):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise MissingArtifact(f"checkpoint not found: {path}")
-    if data[:8] != _MAGIC:
-        raise MissingArtifact(f"{path}: not a checkpoint file")
-    try:
+    with reading(path, "checkpoint") as fh:
+        data = fh.read()
+        if data[:8] != _MAGIC:
+            raise MissingArtifact(f"{path}: not a checkpoint file")
         off = 8
         (hlen,) = struct.unpack_from("<I", data, off); off += 4
         kind, spec = _spec_from_lines(data[off:off + hlen].decode("utf-8").splitlines())
@@ -90,9 +82,6 @@ def load_checkpoint(path: str):
             off += 8 * size
         if off != len(data):
             raise ValueError(f"{len(data) - off} bytes after the last array")
-    except (struct.error, KeyError, TypeError, ValueError) as exc:
-        raise MissingArtifact(
-            f"{path}: truncated or corrupt checkpoint ({exc})") from exc
     if {name: a.shape for name, a in arrays.items()} != parameter_shapes(spec):
         raise MissingArtifact(f"{path}: the arrays do not match the {kind} spec")
     return kind, spec, ParameterSet(arrays)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MissingLevel
-from ..io_utils import atomic_write_bytes
+from ..errors import MissingArtifact, MissingLevel
+from ..io_utils import atomic_write_bytes, reading
 
 DEFAULT_LEVELS = (0.05, 0.10, 0.50, 0.90, 0.95)
 
@@ -86,7 +86,7 @@ def _digest(sources, payload: bytes) -> bytes:
             from hashlib import sha256
     outer = sha256()
     for source in sources:
-        with open(source, "rb") as fh:
+        with reading(source, "forecast source") as fh:
             outer.update(sha256(fh.read()).digest())
     outer.update(payload)
     return outer.digest()
@@ -104,20 +104,17 @@ def save_forecast(path: str, forecast: QuantileForecast, sources) -> None:
 
 def load_forecast(path: str, sources) -> QuantileForecast | None:
     """The forecast `save_forecast` wrote to `path` from `sources` with the
-    bytes they hold now, or None when the file is missing, truncated or
-    corrupt, or the sources have changed since."""
+    bytes they hold now, or None when it or a source cannot be read, it is
+    truncated or corrupt, or the sources have changed since."""
     try:
-        with open(path, "rb") as fh:
+        with reading(path, "forecast") as fh:
             data = fh.read()
-    except OSError:
-        return None
-    payload = data[40:]
-    if data[:8] != _MAGIC or data[8:40] != _digest(sources, payload):
-        return None
-    try:
-        n, q = struct.unpack_from("<II", payload)
-        levels = QuantileLevels(tuple(np.frombuffer(payload, "<f8", q, 8)))
-        values = np.frombuffer(payload, "<f8", offset=8 + 8 * q)
-        return QuantileForecast(values.reshape(n, q).copy(), levels)
-    except (struct.error, ValueError):
+            payload = data[40:]
+            if data[:8] != _MAGIC or data[8:40] != _digest(sources, payload):
+                return None
+            n, q = struct.unpack_from("<II", payload)
+            levels = QuantileLevels(tuple(np.frombuffer(payload, "<f8", q, 8)))
+            values = np.frombuffer(payload, "<f8", offset=8 + 8 * q)
+            return QuantileForecast(values.reshape(n, q).copy(), levels)
+    except MissingArtifact:
         return None

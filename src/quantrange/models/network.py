@@ -60,6 +60,9 @@ class ModelSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
+        if self.conv_kernel > self.window_in:
+            raise ValueError(f"conv_kernel {self.conv_kernel} exceeds "
+                             f"window_in {self.window_in}")
         _check_widths("dense_units", self.dense_units)
 
     @property

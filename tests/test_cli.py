@@ -119,6 +119,11 @@ class TestConfigLoading:
         ("backtest", "[backtest]\nhorizons = day:-1\n"),
         # a repeated name silently kept the last
         ("backtest", "[backtest]\nhorizons = day:5,day:6\n"),
+        # each trained to the end, then eval stopped on the missing level
+        ("model", "[model]\nlevels = 0.1,0.5,0.9\n"),
+        ("metrics", "[metrics]\nbeta = 0.3\n"),
+        # train stopped on a kernel wider than the sequence, naming no key
+        ("model", "[model]\nconv_kernel = 9\n"),
     ])
     def test_rejected_value_exits_cleanly(self, tmp_path, capsys, section,
                                           text):
@@ -160,6 +165,11 @@ class TestConfigLoading:
         ("[run]\nseed = -1\n", [], "[run] seed"),
         ("", ["--seed", "-1"], "--seed"),
         ("[data]\nsource = {tmp}\n", [], "{tmp}"),
+        # make_windows on an empty or too short split named neither
+        ("[data]\nsplit_val = 0.0\nsplit_test = 0.3\n", [],
+         "[data] split_val = 0.0"),
+        ("[data]\nsplit_train = 0.84\nsplit_test = 0.01\n", [],
+         "[data] split_test = 0.01"),
     ])
     def test_broken_run_exits_cleanly(self, tmp_path, capsys, text, args,
                                       named):
@@ -315,6 +325,78 @@ def test_wds_header_smaller_than_data_exits_cleanly(c10_linear_run, tmp_path,
     assert main(["eval", "--config", config, "--out", str(out)]) == 1
     assert f"error: {path}: truncated or corrupt dataset" in \
         capsys.readouterr().err
+
+
+def to_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def corrupt_bars_row(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-3] = lines[-3].replace("\t", "\tx", 1)
+    path.write_text("".join(lines))
+
+
+def non_utf8_ticks(path):
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n", 5000) + 1] = 0xFF
+    path.write_bytes(data)
+
+
+# each but the ticks.csv directory raised a raw exception: IsADirectoryError,
+# or a ValueError (a UnicodeDecodeError for the ticks)
+@pytest.mark.parametrize("name, command, damage, message", [
+    ("ticks.csv", "ingest", to_directory, ""),
+    ("bars.tsv", "backtest", to_directory, ""),
+    ("train.wds", "train", to_directory, ""),
+    ("test.wds", "eval", to_directory, ""),
+    ("test.wds", "backtest", to_directory, ""),
+    ("model-quantile-linear.ckpt", "eval", to_directory, ""),
+    ("model-quantile-linear.ckpt", "backtest", to_directory, ""),
+    ("bars.tsv", "backtest", corrupt_bars_row,
+     "truncated or corrupt bar table ("),
+    ("ticks.csv", "ingest", non_utf8_ticks, "truncated or corrupt tick file (")])
+def test_unreadable_input_exits_cleanly(c10_linear_run, tmp_path, capsys,
+                                        name, command, damage, message):
+    config, trained = c10_linear_run
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / name
+    damage(path)
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+    assert "Traceback" not in err
+
+
+def cut_test_bars(config, out):
+    path = out / "bars.tsv"
+    path.write_text("".join(path.read_text().splitlines(True)[:-3]))
+
+
+def change_stride(config, out):
+    config.write_text(config.read_text().replace("stride = 2", "stride = 1"))
+
+
+# a cut bars.tsv raised a raw IndexError; a changed stride exited 0 with
+# the forecasts on the wrong bars
+@pytest.mark.parametrize("change", [cut_test_bars, change_stride])
+def test_backtest_checks_forecast_rows_against_bars(tmp_path, capsys, change):
+    config = tmp_path / "run.ini"
+    config.write_text(ACCEPTANCE_CONFIG.replace(
+        "[model]\n", "[model]\nkind = quantile-linear\n").replace(
+        "window_in = 5\n", "window_in = 5\nstride = 2\n"))
+    out = tmp_path / "out"
+    for command in ("synth", "ingest", "train"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    change(config, out)
+    capsys.readouterr()
+    assert main(["backtest", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'bars.tsv'}: ")
+    assert "window_in = 5 and stride = " in err
+    assert not (out / "backtest-quantile-linear.txt").exists()
 
 
 def test_byte_flip_sweep_raises_no_exception(c10_linear_run, tmp_path):

@@ -141,8 +141,15 @@ def stale_by_truncation(configs, out):
     path.write_bytes(path.read_bytes()[:-8])
 
 
+def unreadable_as_directory(configs, out):
+    path = out / "forecast-futurequant.bin"
+    path.unlink()
+    path.mkdir()
+
+
 @pytest.mark.parametrize("make_stale", [
-    stale_by_retraining, stale_by_another_kind, stale_by_truncation])
+    stale_by_retraining, stale_by_another_kind, stale_by_truncation,
+    unreadable_as_directory])
 def test_stale_file_is_a_miss(evaluated, tmp_path, capsys, make_stale):
     configs, out = copy_of(evaluated, tmp_path)
     make_stale(configs, out)
