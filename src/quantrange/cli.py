@@ -54,36 +54,36 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
-    source = cfg.source
+    source = cfg.data.source
     if source == "synthetic":
         source = _out(cfg, "ticks.csv")
     with reading(source, "tick file", "r") as fh:
-        parsed = md.parse_ticks(fh, delimiter=cfg.delimiter)
+        parsed = md.parse_ticks(fh, delimiter=cfg.data.delimiter)
     ticks = parsed.records
     try:
-        bars = md.resample(ticks, cfg.bar_interval)
+        bars = md.resample(ticks, cfg.data.bar_interval)
     except ValueError as exc:
         raise ConfigError(f"[data] bar_interval: {exc}") from None
     # resample checked that the timestamps never decrease, so the buckets
     # do not either, and each change of bucket opens a populated bar
-    bucket = (ticks.timestamp - ticks.timestamp[0]) // cfg.bar_interval
+    bucket = (ticks.timestamp - ticks.timestamp[0]) // cfg.data.bar_interval
     populated = np.count_nonzero(np.diff(bucket)) + 1
     print(f"read {len(ticks)} ticks ({parsed.dropped_rows} rows dropped), "
           f"{len(bars)} bars ({len(bars) - populated} forward-filled)")
-    n_train = int(len(bars) * cfg.split_train)
-    n_val = int(len(bars) * cfg.split_val)
+    n_train = int(len(bars) * cfg.data.split_train)
+    n_val = int(len(bars) * cfg.data.split_val)
     names = {"train": bars[:n_train], "val": bars[n_train:n_train + n_val],
              "test": bars[n_train + n_val:]}
     for name, split in names.items():
-        if len(split) <= cfg.window_in:
+        if len(split) <= cfg.data.window_in:
             raise ConfigError(
                 f"{source}: [data] split_{name} = "
-                f"{getattr(cfg, 'split_' + name)} of {len(bars)} bar(s) "
+                f"{getattr(cfg.data, 'split_' + name)} of {len(bars)} bar(s) "
                 f"leaves {len(split)} {name} bar(s), too few for window_in "
-                f"= {cfg.window_in} + 1 target bar")
+                f"= {cfg.data.window_in} + 1 target bar")
     norm = md.fit_minmax(names["train"].close)
     for name, split in names.items():
-        ds = md.make_windows(split, norm, cfg.window_in, cfg.stride)
+        ds = md.make_windows(split, norm, cfg.data.window_in, cfg.data.stride)
         md.save_dataset(ds, _out(cfg, f"{name}.wds"))
         print(f"wrote {_out(cfg, name + '.wds')} ({ds.num_samples} samples)")
     lines = ["open_time\topen\thigh\tlow\tclose\tvolume_delta\tsplit"]
@@ -175,19 +175,19 @@ def cmd_backtest(cfg: RunConfig) -> None:
     repaired = repair_monotonic(_backtest_forecast(cfg, kind))
     test_bars = _read_bars_tsv(cfg, "test")
     # make_windows' target bars; the decision bar is the one before each
-    targets = np.arange(cfg.window_in, len(test_bars), cfg.stride)
+    targets = np.arange(cfg.data.window_in, len(test_bars), cfg.data.stride)
     if len(targets) != len(repaired.values):
         raise AlignmentError(
             f"{_out(cfg, 'bars.tsv')}: {len(test_bars)} test bars make "
-            f"{len(targets)} windows at window_in = {cfg.window_in} and "
-            f"stride = {cfg.stride}, not the forecast's "
+            f"{len(targets)} windows at window_in = {cfg.data.window_in} and "
+            f"stride = {cfg.data.stride}, not the forecast's "
             f"{len(repaired.values)} (ingest again after changing them)")
     warm_up = max(cfg.indicators.rsi_period, cfg.indicators.atr_period)
-    too_short = len(test_bars) <= warm_up + cfg.window_in
+    too_short = len(test_bars) <= warm_up + cfg.data.window_in
     if too_short:
         print(f"warning: the test split has {len(test_bars)} bars, no more "
               f"than the indicator warm-up plus window_in "
-              f"({warm_up} + {cfg.window_in}), so it cannot trade",
+              f"({warm_up} + {cfg.data.window_in}), so it cannot trade",
               file=sys.stderr)
     aligned = np.full((len(test_bars), repaired.values.shape[1]), np.nan)
     aligned[targets - 1] = repaired.values
@@ -195,7 +195,7 @@ def cmd_backtest(cfg: RunConfig) -> None:
 
     result = bt.run_backtest(
         test_bars, forecast, cfg.indicators, cfg.strategy,
-        cfg.initial_capital, cfg.horizons,
+        cfg.backtest.initial_capital, cfg.backtest.horizons,
     )
     atomic_write_text(_out(cfg, f"backtest-{kind}.txt"), bt.summary_text(result))
     equity = result.equity_curve.equity
@@ -244,7 +244,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="run config file")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed (overrides config)")
-    parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
     try:

@@ -1,7 +1,8 @@
 """Typed key-value run configuration with per-module sections.
 
-Unknown sections or keys are hard errors so experiment-config typos fail
-fast instead of silently falling back to defaults.
+Each section's keys are the fields of its dataclass, read by the fields'
+annotations. Unknown sections or keys are hard errors so experiment-config
+typos fail fast instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
@@ -19,166 +20,188 @@ from .models.training import TrainConfig
 from .strategy import StrategyConfig
 from .synthetic import SyntheticSpec
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "run": {"out_dir": "str", "seed": "int"},
-    "data": {
-        "source": "str", "delimiter": "str", "bar_interval": "float",
-        "split_train": "float", "split_val": "float", "split_test": "float",
-        "window_in": "int", "window_out": "int", "stride": "int",
-    },
-    "synthetic": {
-        "kind": "str", "length": "int", "phi": "float", "sigma0": "float",
-        "vol_sensitivity": "float", "regime_shift": "float",
-        "base_price": "float",
-    },
-    "model": {
-        "kind": "str", "num_blocks": "int", "num_heads": "int",
-        "key_dim": "int", "conv_channels": "int", "conv_kernel": "int",
-        "dense_units": "ints", "dropout_rate": "float", "levels": "floats",
-        "hidden": "ints",
-    },
-    "train": {
-        "learning_rate": "float", "epochs": "int", "batch_size": "int",
-        "optimizer": "str", "momentum": "float", "gradient_clip": "float",
-    },
-    "metrics": {"beta": "float", "eta": "float", "cwc_variant": "str"},
-    "indicators": {
-        "rsi_period": "int", "atr_period": "int", "atr_low": "float",
-        "atr_high": "float", "threshold": "float",
-    },
-    "strategy": {"sell_vs_upper_band": "bool", "transaction_cost": "float"},
-    "backtest": {"initial_capital": "float", "horizons": "str"},
-}
 
-
-def _convert(section: str, key: str, raw: str):
-    kind = _SCHEMA[section][key]
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind in ("float", "floats"):
-            values = ([float(raw)] if kind == "float"
-                      else [float(x) for x in raw.split(",")])
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"[{section}] {key} must be finite, "
-                                  f"not {raw!r}")
-            return values[0] if kind == "float" else tuple(values)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "ints":
-            return tuple(int(x) for x in raw.split(","))
-        return raw
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}")
-
-
-def _build(section: str, cls, **kwargs):
-    """cls(**kwargs), with a value the class rejects reported as a
-    ConfigError naming the section."""
-    try:
-        return cls(**kwargs)
-    except (ValueError, InvalidSpec) as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
-
-
-@dataclass
-class RunConfig:
-    out_dir: str = "out"
-    seed: int = 0
-    source: str = "synthetic"
+@dataclass(frozen=True)
+class DataConfig:
+    source: str = "synthetic"      # "synthetic" (synth's ticks.csv) or a path
     delimiter: str = ","
-    bar_interval: float = 30.0
+    bar_interval: float = 30.0     # seconds
     split_train: float = 0.7
     split_val: float = 0.15
     split_test: float = 0.15
     window_in: int = 5
+    window_out: int = 1
     stride: int = 1
-    model_kind: str = "futurequant"
-    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
-    # the spec of every model kind, each built from the [model] keys its
-    # spec class has
-    specs: dict[str, object] = field(default_factory=dict)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    metrics: MetricConfig = field(default_factory=MetricConfig)
-    indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
-    strategy: StrategyConfig = field(default_factory=StrategyConfig)
+
+    def __post_init__(self):
+        splits = self.split_train + self.split_val + self.split_test
+        if abs(splits - 1.0) > 1e-9:
+            raise ValueError(f"split fractions sum to {splits}, expected 1")
+        if not self.delimiter:
+            raise ValueError("delimiter is empty")
+        if not self.bar_interval > 0:
+            raise ValueError(f"bar_interval {self.bar_interval} is not > 0")
+        if self.window_in < 1:
+            raise ValueError(f"window_in {self.window_in} is not >= 1")
+        if self.stride < 1:
+            raise ValueError(f"stride {self.stride} is not >= 1")
+        if self.window_out != 1:
+            raise ValueError("window_out: the models predict one step ahead, "
+                             f"so it must be 1, not {self.window_out}")
+
+
+@dataclass(frozen=True)
+class BacktestConfig:
     initial_capital: float = 1_000_000.0
-    horizons: dict[str, int] = field(default_factory=dict)
+    horizons: dict[str, int] = field(default_factory=dict)  # name -> bars
+
+    def __post_init__(self):
+        if not self.initial_capital > 0:
+            raise ValueError(
+                f"initial_capital {self.initial_capital} is not > 0")
+
+
+def _horizons(raw: str) -> dict[str, int]:
+    horizons: dict[str, int] = {}
+    for item in filter(None, (s.strip() for s in raw.split(","))):
+        name, _, bars = item.partition(":")
+        if not name or not bars.strip().isdecimal() or name in horizons:
+            raise ValueError(f"bad entry {item!r}: expected name:bars with a "
+                             "new name and bars >= 0")
+        horizons[name] = int(bars)
+    return horizons
+
+
+def _bool(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
+        raise ValueError(f"not one of {', '.join(states)}")
+    return states[raw.lower()]
+
+
+# readers by field annotation (postponed, so a string); `int | None` and
+# `float | None` fields take a number, never None
+_PARSE = {
+    "int": int, "int | None": int, "float": float, "float | None": float,
+    "str": str, "bool": _bool,
+    "tuple[int, int]": lambda v: tuple(map(int, v.split(","))),
+    "QuantileLevels": lambda v: QuantileLevels(v.split(",")),
+    "dict[str, int]": _horizons,
+}
+
+
+def parse_value(annotation: str, raw: str):
+    """`raw`, a config value or a checkpoint header value, read as the field
+    annotation `annotation`. A value it cannot read, or a non-finite float,
+    raises a ValueError whose text follows the key's name."""
+    try:
+        value = _PARSE[annotation](raw)
+    except ValueError as exc:
+        raise ValueError(f"must be {annotation}, not {raw!r} ({exc})") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"must be finite, not {raw!r}")
+    return value
+
+
+# the dataclass of each section but [run], [data] and [model]
+_SECTIONS = {"synthetic": SyntheticSpec, "train": TrainConfig,
+             "metrics": MetricConfig, "indicators": IndicatorConfig,
+             "strategy": StrategyConfig, "backtest": BacktestConfig}
+# fields that no key sets: the loader fills the first four from [run] and
+# [data], and the rest keep their defaults
+_UNSET = ("seed", "window_in", "num_features", "num_inputs", "ln_epsilon",
+          "lr_schedule", "lr_decay")
+
+
+def _keys(*classes, unset=_UNSET) -> dict[str, str]:
+    return {f.name: f.type for cls in classes for f in fields(cls)
+            if f.name not in unset}
+
+
+# each section's keys and their annotations; [model] is `kind` and the
+# fields of every kind's spec class
+_SCHEMA = {
+    "run": {"out_dir": "str", "seed": "int"},
+    "data": _keys(DataConfig, unset=()),
+    "model": {"kind": "str", **_keys(*(e.spec_class for e in KINDS.values()))},
+    **{section: _keys(cls) for section, cls in _SECTIONS.items()},
+}
+
+
+def _build(section: str, cls, values: dict):
+    """cls from the `values` that name its fields, with a value the class
+    rejects reported as a ConfigError naming the section."""
+    names = {f.name for f in fields(cls)}
+    try:
+        return cls(**{k: v for k, v in values.items() if k in names})
+    except (ValueError, InvalidSpec) as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    out_dir: str
+    seed: int
+    model_kind: str
+    specs: dict[str, object]    # every kind's, from the [model] keys it has
+    data: DataConfig
+    synthetic: SyntheticSpec
+    train: TrainConfig
+    metrics: MetricConfig
+    indicators: IndicatorConfig
+    strategy: StrategyConfig
+    backtest: BacktestConfig
 
 
 def load_config(path: str, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
-            raise ConfigError(f"config file not found: {path}")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         items = {name: parser.items(name) for name in parser.sections()}
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    values: dict[str, dict] = {}
+    values: dict[str, dict] = {section: {} for section in _SCHEMA}
     for section, pairs in items.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        values[section] = {}
         for key, raw in pairs:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _convert(section, key, raw)
+            try:
+                values[section][key] = parse_value(_SCHEMA[section][key], raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} {exc}") from None
 
-    def sec(name: str) -> dict:
-        return values.get(name, {})
-
-    cfg = RunConfig()
-    run = sec("run")
-    cfg.out_dir = out_override or run.get("out_dir", cfg.out_dir)
-    cfg.seed = seed_override if seed_override is not None \
-        else run.get("seed", cfg.seed)
-    if cfg.seed < 0:
+    run = values["run"]
+    seed = seed_override if seed_override is not None else run.get("seed", 0)
+    if seed < 0:
         where = "--seed" if seed_override is not None else "[run] seed"
-        raise ConfigError(f"{where} {cfg.seed} is not >= 0")
-
-    data = dict(sec("data"))
-    window_out = data.pop("window_out", 1)
-    for name, value in data.items():
-        setattr(cfg, name, value)
-    splits = cfg.split_train + cfg.split_val + cfg.split_test
-    if abs(splits - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions sum to {splits}, expected 1")
-    if not cfg.delimiter:
-        raise ConfigError("[data] delimiter is empty")
-    if not cfg.bar_interval > 0:
-        raise ConfigError(f"[data] bar_interval {cfg.bar_interval} is not > 0")
-    if cfg.stride < 1:
-        raise ConfigError(f"[data] stride {cfg.stride} is not >= 1")
-    if window_out != 1:
-        raise ConfigError("[data] window_out: the models predict one step "
-                          f"ahead, so it must be 1, not {window_out}")
-
-    cfg.synthetic = _build("synthetic", SyntheticSpec, seed=cfg.seed,
-                           **sec("synthetic"))
-
-    model = dict(sec("model"))
-    cfg.model_kind = model.pop("kind", cfg.model_kind)
-    if cfg.model_kind not in KINDS:
-        raise ConfigError(f"model kind must be one of {tuple(KINDS)}")
-    if "levels" in model:
-        model["levels"] = _build("model", QuantileLevels, levels=model["levels"])
-    # one feature (the close) per bar
-    model.update(window_in=cfg.window_in, num_features=1,
-                 num_inputs=cfg.window_in)
-    for kind, entry in KINDS.items():
-        names = {f.name for f in fields(entry.spec_class)}
-        cfg.specs[kind] = _build("model", entry.spec_class, **{
-            k: v for k, v in model.items() if k in names})
-
-    cfg.train = _build("train", TrainConfig, seed=cfg.seed, **sec("train"))
-    cfg.metrics = _build("metrics", MetricConfig, **sec("metrics"))
-    levels, beta = cfg.specs[cfg.model_kind].levels, cfg.metrics.beta
+        raise ConfigError(f"{where} {seed} is not >= 0")
+    data = _build("data", DataConfig, values["data"])
+    kind = values["model"].pop("kind", "futurequant")
+    if kind not in KINDS:
+        raise ConfigError(f"[model] kind must be one of {tuple(KINDS)}")
+    # the _UNSET fields from [run] and [data]; one feature (the close) a bar
+    filled = {"seed": seed, "window_in": data.window_in, "num_features": 1,
+              "num_inputs": data.window_in}
+    cfg = RunConfig(
+        out_dir=out_override or run.get("out_dir", "out"), seed=seed,
+        model_kind=kind, data=data,
+        specs={name: _build("model", entry.spec_class,
+                            {**filled, **values["model"]})
+               for name, entry in KINDS.items()},
+        **{section: _build(section, cls, {**filled, **values[section]})
+           for section, cls in _SECTIONS.items()})
+    levels, beta = cfg.specs[kind].levels, cfg.metrics.beta
     for level, needs in ((beta / 2, f"[metrics] beta = {beta}"),
                          (1 - beta / 2, f"[metrics] beta = {beta}"),
                          (0.05, "the backtest's lower band"),
@@ -188,23 +211,4 @@ def load_config(path: str, seed_override: int | None = None,
         except MissingLevel:
             raise ConfigError(f"[model] levels {levels.levels} lack "
                               f"{level!r}, which {needs} needs") from None
-    cfg.indicators = _build("indicators", IndicatorConfig, **sec("indicators"))
-    cfg.strategy = _build("strategy", StrategyConfig, **sec("strategy"))
-
-    bt = sec("backtest")
-    cfg.initial_capital = bt.get("initial_capital", cfg.initial_capital)
-    if not cfg.initial_capital > 0:
-        raise ConfigError("[backtest] initial_capital "
-                          f"{cfg.initial_capital} is not > 0")
-    horizons_raw = bt.get("horizons", "")
-    horizons: dict[str, int] = {}
-    for item in filter(None, (s.strip() for s in horizons_raw.split(","))):
-        name, _, bars = item.partition(":")
-        if not name or not bars.strip().isdecimal():
-            raise ConfigError(f"[backtest] horizons: bad entry {item!r}, "
-                              "expected name:bars with bars >= 0")
-        if name in horizons:
-            raise ConfigError(f"[backtest] horizons: {name!r} appears twice")
-        horizons[name] = int(bars)
-    cfg.horizons = horizons
     return cfg

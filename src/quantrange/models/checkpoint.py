@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from ..config import parse_value
 from ..errors import MissingArtifact
 from ..io_utils import atomic_write_bytes, reading
 from .forecast import QuantileLevels
@@ -28,18 +29,12 @@ def _spec_to_lines(kind: str, spec) -> list[str]:
     return lines
 
 
-# header value parsers by spec field annotation (postponed, so a string)
-_PARSE = {"int": int, "float": float,
-          "tuple[int, int]": lambda v: tuple(map(int, v.split(","))),
-          "QuantileLevels": lambda v: QuantileLevels(v.split(","))}
-
-
 def _spec_from_lines(lines: list[str]):
     kv = dict(line.partition(" = ")[::2] for line in lines)
     kind = kv.pop("kind")
     cls = KINDS[kind].spec_class
     types = {f.name: f.type for f in fields(cls)}
-    return kind, cls(**{key: _PARSE[types[key]](value)
+    return kind, cls(**{key: parse_value(types[key], value)
                         for key, value in kv.items()})
 
 

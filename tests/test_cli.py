@@ -62,7 +62,7 @@ class TestConfigLoading:
         assert cfg.seed == 11
         assert cfg.synthetic.seed == 11
         assert cfg.specs["futurequant"].window_in == 5
-        assert cfg.horizons == {"day": 10}
+        assert cfg.backtest.horizons == {"day": 10}
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -124,6 +124,8 @@ class TestConfigLoading:
         ("metrics", "[metrics]\nbeta = 0.3\n"),
         # train stopped on a kernel wider than the sequence, naming no key
         ("model", "[model]\nconv_kernel = 9\n"),
+        # reported as [model] window_in, a key [model] does not have
+        ("data", "[data]\nwindow_in = 0\n"),
     ])
     def test_rejected_value_exits_cleanly(self, tmp_path, capsys, section,
                                           text):
@@ -134,22 +136,46 @@ class TestConfigLoading:
         assert err.startswith("error:") and f"[{section}]" in err
         assert "Traceback" not in err
 
-    # each gave a raw configparser traceback
+    # each gave a raw configparser traceback; the non-UTF-8 file raised a
+    # UnicodeDecodeError, and a directory was reported as not found
     @pytest.mark.parametrize("text", [
         "[run]\nseed = 1\nseed = 2\n",               # duplicate key
         "[run]\nseed = 1\n\n[run]\nseed = 2\n",      # duplicate section
         "seed = 1\n\n[run]\n",                       # key before a section
         "[data]\ndelimiter = %\n",                    # bad interpolation
         "[run]\nout_dir = %(x)s\n",                   # unknown interpolation
+        b"[run]\nout_dir = caf\xe9\n",               # not UTF-8
+        None,                                        # a directory
     ])
     def test_malformed_file_exits_cleanly(self, tmp_path, capsys, text):
-        config = write_config(tmp_path, text)
-        code = main(["synth", "--config", config,
+        config = tmp_path / "run.ini"
+        if text is None:
+            config.mkdir()
+        else:
+            config.write_bytes(text if isinstance(text, bytes)
+                               else text.encode("utf-8"))
+        code = main(["synth", "--config", str(config),
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {config}: ")
         assert "Traceback" not in err
+
+    # fields of the section classes that no key sets: the loader fills them
+    # from [run] and [data], or leaves them at their defaults
+    @pytest.mark.parametrize("section, key", [
+        ("train", "lr_decay"), ("train", "lr_schedule"), ("train", "seed"),
+        ("synthetic", "seed"), ("model", "ln_epsilon"), ("model", "window_in"),
+        ("model", "num_inputs"), ("model", "num_features"),
+    ])
+    def test_unset_field_is_an_unknown_key(self, tmp_path, capsys, section,
+                                           key):
+        config = write_config(tmp_path, f"[{section}]\n{key} = 1\n")
+        code = main(["synth", "--config", config,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown key {key!r} in section [{section}]\n")
 
     # each raised a raw exception in synth or ingest
     @pytest.mark.parametrize("text, args, named", [
@@ -192,7 +218,7 @@ class TestConfigLoading:
         cfg = load_config(config)
         assert cfg.synthetic.kind == "gaussian-ar1"
         assert cfg.model_kind == "futurequant"
-        assert cfg.source == "synthetic"
+        assert cfg.data.source == "synthetic"
         assert cfg.metrics.cwc_variant == "as-printed"
         out = str(tmp_path / "out")
         assert main(["synth", "--config", config, "--out", out]) == 0
