@@ -76,6 +76,7 @@ def equity_from_positions(
     Fills happen at the bar open where the position changes; equity is
     marked to market at each close; any open position force-closes at the
     final close. equity[0] is the initial capital, before the first bar.
+    Equity that reaches 0 or below raises RuinousReturn naming the bar.
     """
     n = len(bars)
     if len(held) != n:
@@ -91,6 +92,12 @@ def equity_from_positions(
     if n and held[-1] != 0:  # force-close on the final bar
         equity[-1] = cash[-1] + (held[-1] * bars.close[-1]
                                  - abs(held[-1]) * transaction_cost)
+    broke = np.flatnonzero(equity <= 0)   # no return is defined after it
+    if broke.size:
+        i = int(broke[0])
+        raise RuinousReturn(f"equity {float(equity[i])!r} <= 0 at the close "
+                            f"of bar {i} (open_time "
+                            f"{float(bars.open_time[i])!r})")
 
     equity = np.concatenate([[initial_capital], equity])
     returns = np.concatenate([[0.0], equity[1:] / equity[:-1] - 1.0])

@@ -16,8 +16,11 @@ from . import interval_metrics as im
 from . import market_data as md
 from . import svg
 from .config import RunConfig, load_config
-from .errors import AlignmentError, ConfigError, InvalidSpec, QuantRangeError
-from .io_utils import atomic_write_text, reading
+from .errors import (
+    AlignmentError, ConfigError, InvalidSpec, MissingField, QuantRangeError,
+    RuinousReturn,
+)
+from .io_utils import atomic_write_text, atomic_writer, reading
 from .models.checkpoint import load_checkpoint, save_checkpoint
 from .models.forecast import (
     QuantileForecast, load_forecast, repair_monotonic, save_forecast,
@@ -58,18 +61,18 @@ def cmd_ingest(cfg: RunConfig) -> None:
     if source == "synthetic":
         source = _out(cfg, "ticks.csv")
     with reading(source, "tick file", "r") as fh:
-        parsed = md.parse_ticks(fh, delimiter=cfg.data.delimiter)
-    ticks = parsed.records
-    try:
-        bars = md.resample(ticks, cfg.data.bar_interval)
-    except ValueError as exc:
-        raise ConfigError(f"[data] bar_interval: {exc}") from None
-    # resample checked that the timestamps never decrease, so the buckets
-    # do not either, and each change of bucket opens a populated bar
-    bucket = (ticks.timestamp - ticks.timestamp[0]) // cfg.data.bar_interval
-    populated = np.count_nonzero(np.diff(bucket)) + 1
-    print(f"read {len(ticks)} ticks ({parsed.dropped_rows} rows dropped), "
-          f"{len(bars)} bars ({len(bars) - populated} forward-filled)")
+        try:
+            read = md.read_bars(fh, cfg.data.delimiter, cfg.data.bar_interval)
+        except MissingField as exc:
+            raise MissingField(f"{source}: {exc} (header split on [data] "
+                               f"delimiter = {cfg.data.delimiter!r})") from None
+        except UnicodeDecodeError:
+            raise               # reading() names the file
+        except ValueError as exc:
+            raise ConfigError(f"[data] bar_interval: {exc}") from None
+    bars = read.bars
+    print(f"read {read.ticks} ticks ({read.dropped_rows} rows dropped), "
+          f"{len(bars)} bars ({read.filled} forward-filled)")
     n_train = int(len(bars) * cfg.data.split_train)
     n_val = int(len(bars) * cfg.data.split_val)
     names = {"train": bars[:n_train], "val": bars[n_train:n_train + n_val],
@@ -86,14 +89,15 @@ def cmd_ingest(cfg: RunConfig) -> None:
         ds = md.make_windows(split, norm, cfg.data.window_in, cfg.data.stride)
         md.save_dataset(ds, _out(cfg, f"{name}.wds"))
         print(f"wrote {_out(cfg, name + '.wds')} ({ds.num_samples} samples)")
-    lines = ["open_time\topen\thigh\tlow\tclose\tvolume_delta\tsplit"]
-    for name, split in names.items():
-        # 4096 rows at a time: a whole split's tuples of Python floats
-        # would set this stage's peak memory
-        for start in range(0, len(split), 4096):
-            lines.extend("\t".join(map(repr, row)) + f"\t{name}"
-                         for row in split[start:start + 4096].tolist())
-    atomic_write_text(_out(cfg, "bars.tsv"), "\n".join(lines) + "\n")
+    # 1024 rows at a time: a whole table of Python floats and strings would
+    # set this stage's peak memory
+    with atomic_writer(_out(cfg, "bars.tsv")) as fh:
+        fh.write(b"open_time\topen\thigh\tlow\tclose\tvolume_delta\tsplit\n")
+        for name, split in names.items():
+            for start in range(0, len(split), 1024):
+                rows = split[start:start + 1024].tolist()
+                fh.write("".join("\t".join(map(repr, row)) + f"\t{name}\n"
+                                 for row in rows).encode("utf-8"))
 
 
 def _read_bars_tsv(cfg: RunConfig, split: str) -> np.recarray:
@@ -193,10 +197,15 @@ def cmd_backtest(cfg: RunConfig) -> None:
     aligned[targets - 1] = repaired.values
     forecast = QuantileForecast(values=aligned, levels=repaired.levels)
 
-    result = bt.run_backtest(
-        test_bars, forecast, cfg.indicators, cfg.strategy,
-        cfg.backtest.initial_capital, cfg.backtest.horizons,
-    )
+    try:
+        result = bt.run_backtest(
+            test_bars, forecast, cfg.indicators, cfg.strategy,
+            cfg.backtest.initial_capital, cfg.backtest.horizons,
+        )
+    except RuinousReturn as exc:    # the strategy trades one unit anyway
+        raise ConfigError(
+            f"[backtest] initial_capital = {cfg.backtest.initial_capital!r} "
+            f"cannot carry one unit of the test split: {exc}") from None
     atomic_write_text(_out(cfg, f"backtest-{kind}.txt"), bt.summary_text(result))
     equity = result.equity_curve.equity
     dd = result.drawdown_stats.drawdown_series

@@ -11,18 +11,26 @@ from contextlib import contextmanager
 from .errors import MissingArtifact
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+@contextmanager
+def atomic_writer(path: str):
+    """A binary file for the block, written at a temporary path beside
+    `path` and renamed to it only if the block completes."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str, text: str) -> None:

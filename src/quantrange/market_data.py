@@ -1,9 +1,9 @@
 """Tick parsing, bar resampling, min-max normalization, and windowing.
 
 Ticks and bars are numpy record arrays, one row per tick or bar, with the
-fields of `TICK_DTYPE` and `BAR_DTYPE`. All functions here are pure: they
-take immutable inputs and return new objects, so they are safe to call
-from multiple threads.
+fields of `TICK_DTYPE` and `BAR_DTYPE`. A tick file is read in blocks of
+PARSE_BLOCK characters, and each block's ticks are reduced to partial
+bars (`BarParts`) at once, so memory does not grow with the file.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,6 +29,9 @@ from .errors import (
 
 # resample refuses an interval that would forward-fill more bars than this
 _MAX_FILLED_BARS = 2 ** 24
+# characters of tick text parsed at a time: ingest's memory is a block of
+# ticks and one partial bar per populated bar, however long the file
+PARSE_BLOCK = 1 << 18
 
 TICK_FIELDS = ("UpdateTime", "UpdateMillisec", "LastPrice", "Volume",
                "BidPrice1", "BidVolume1", "AskPrice1", "AskVolume1")
@@ -42,7 +45,7 @@ BAR_DTYPE = np.dtype([(name, "f8") for name in
                       ("open_time", "open", "high", "low", "close")]
                      + [("volume_delta", "i8")])
 # np.loadtxt reads UpdateTime as bytes of this width; a cell that fills
-# it may have been cut short, and sends the file to the row parser
+# it may have been cut short, and sends the block to the row parser
 _TIME_WIDTH = 24
 
 
@@ -69,6 +72,10 @@ class WindowedDataset:
 class ParseResult:
     records: np.recarray  # TICK_DTYPE: the rows kept, in file order
     dropped_rows: int  # rows with a zero bid/ask sentinel, skipped non-fatally
+    # where the text ended, for `parse_ticks(..., after=this)`:
+    header: list[str]      # the header's field names
+    next_line: int         # line number of the line after the text
+    last_timestamp: float  # of the last tick kept so far; -inf before one
 
 
 def _parse_time(text: str) -> float:
@@ -80,16 +87,17 @@ def _parse_time(text: str) -> float:
     return float(text)
 
 
-def _read_fast(stream, columns: list[int], ncols: int, delimiter: str):
-    """The ticks of one np.loadtxt pass over the open file, UpdateTime read
-    as bytes and decoded by array arithmetic if HH:MM:SS, else by
+def _read_fast(lines: list[str], columns: list[int], ncols: int,
+               delimiter: str):
+    """The ticks of one np.loadtxt pass over the lines, UpdateTime read as
+    bytes and decoded by array arithmetic if HH:MM:SS, else by
     `_parse_time`; None if a cell does not parse or may have been cut."""
     dtype = [(f"unused{j}", "U1") for j in range(ncols)]
     for j, name in zip(columns, TICK_DTYPE.names):
         dtype[j] = (name, TICK_DTYPE[name])
     dtype[columns[0]] = ("update_time", f"S{_TIME_WIDTH}")
     try:
-        raw = np.loadtxt(stream, dtype=dtype, delimiter=delimiter,
+        raw = np.loadtxt(lines, dtype=dtype, delimiter=delimiter,
                          comments=None, ndmin=1)
     except ValueError:
         return None
@@ -115,14 +123,13 @@ def _read_fast(stream, columns: list[int], ncols: int, delimiter: str):
 
 
 def _read_rows(lines, columns: list[int], ncols: int, delimiter: str):
-    """The row parser, for a file np.loadtxt cannot read: (the ticks before
+    """The row parser, for text np.loadtxt cannot read: (the ticks before
     the first line with a wrong field count or a cell that does not parse,
     that line's error or None)."""
     convert = [float if TICK_DTYPE[i].kind == "f"
                else lambda v: np.int64(int(v)) for i in range(1, 8)]
     rows, error = [], None
     for lineno, line in lines:
-        line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split(delimiter)
@@ -139,18 +146,21 @@ def _read_rows(lines, columns: list[int], ncols: int, delimiter: str):
     return np.array([(*row, 0.0) for row in rows], TICK_DTYPE), error
 
 
-def _checked(ticks: np.ndarray, error: MalformedRow | None,
-             line_of) -> ParseResult:
+def _checked(ticks: np.ndarray, error: MalformedRow | None, line_of,
+             previous: float) -> tuple[np.recarray, int, float]:
     """Fills in the timestamps and raises the first failing row check (the
     checks are masks over all rows, taken in the order a row-by-row parse
-    meets them), then `error`, the failure of the row after the last."""
+    meets them; `previous` is the timestamp of the last tick kept before
+    these rows), then `error`, the failure of the row after the last.
+    Returns the rows kept, the rows dropped and the last kept timestamp."""
     ticks = ticks.view(np.recarray)
     ts = ticks.timestamp = ticks.update_time + ticks.update_millisec / 1000.0
     ms, bid, ask = ticks.update_millisec, ticks.bid_price1, ticks.ask_price1
     drop = (bid == 0) | (ask == 0)
     kept = np.flatnonzero(~drop)
+    before = np.append(previous, ts[kept])   # before[j]: kept row j's previous
     back = np.zeros(len(ticks), bool)
-    back[kept[1:]] = ts[kept[1:]] < ts[kept[:-1]]
+    back[kept] = ts[kept] < before[:-1]
     checks = {"UpdateMillisec outside [0, 999]": (ms < 0) | (ms > 999),
               **{f"{name} must be finite": ~np.isfinite(col) for name, col
                  in (("UpdateTime", ts), ("LastPrice", ticks.last_price),
@@ -164,98 +174,232 @@ def _checked(ticks: np.ndarray, error: MalformedRow | None,
         for message, mask in checks.items():
             if mask[i]:
                 raise MalformedRow(line_of(i), message)
-        prev = ts[kept[np.searchsorted(kept, i) - 1]]
+        prev = before[np.searchsorted(kept, i)]
         raise NonMonotoneTimestamp(
             line_of(i), f"timestamp {float(ts[i])} < previous {float(prev)}")
     if error is not None:
         raise error
-    return ParseResult(ticks[~drop] if drop.any() else ticks, int(drop.sum()))
+    return (ticks[~drop] if drop.any() else ticks, int(drop.sum()),
+            float(before[-1]))
+
+
+def _text_blocks(stream):
+    """The text of `stream` (a str or a text stream) in blocks of at most
+    PARSE_BLOCK characters, each cut after its last newline; a line longer
+    than that is one block. Only the last block may lack the final
+    newline; an empty stream is one empty block."""
+    if isinstance(stream, str):
+        text, end = stream, 0
+
+        def read(size: int) -> str:
+            nonlocal end
+            end += size
+            return text[end - size:end]
+    else:
+        read = stream.read
+    block, empty = "", True
+    while piece := read(max(PARSE_BLOCK - len(block), len(block))):
+        empty, block = False, block + piece
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield block[:cut]
+            block = block[cut:]
+    if block or empty:
+        yield block
+
+
+def _parse_block(text: str, delimiter: str,
+                 after: ParseResult | None) -> ParseResult:
+    """The ticks of one block of text, which continues the text `after`
+    was parsed from, or starts with the header if `after` is None."""
+    if after is None:
+        if not text:
+            raise MissingField("stream is empty; header row required")
+        header_line, _, text = text.partition("\n")
+        header = [h.strip() for h in header_line.split(delimiter)]
+        for name in TICK_FIELDS:
+            if name not in header:
+                raise MissingField(f"header lacks required field {name!r}")
+        after = ParseResult(np.recarray(0, TICK_DTYPE), 0, header, 2,
+                            -np.inf)
+    header, first = after.header, after.next_line
+    columns = [header.index(name) for name in TICK_FIELDS]
+
+    def line_of(row: int) -> int:
+        lines = enumerate(text.split("\n"), first)
+        return next(itertools.islice((n for n, line in lines if line),
+                                     row, None))
+
+    ticks, error, newlines = None, None, text.count("\n")
+    # np.loadtxt would split a line at a lone carriage return and stop at
+    # a NUL, where the row parser does not
+    if (len(delimiter) == 1 and delimiter not in "\r\n" and "\r" not in text
+            and "\0" not in text and len(text) > newlines):
+        ticks = _read_fast(text.split("\n"), columns, len(header), delimiter)
+    if ticks is None:
+        ticks, error = _read_rows(enumerate(text.split("\n"), first),
+                                  columns, len(header), delimiter)
+    records, dropped, last = _checked(ticks, error, line_of,
+                                      after.last_timestamp)
+    return ParseResult(records, dropped, header, first + newlines, last)
 
 
 def parse_ticks(
     stream: io.TextIOBase | str,
     delimiter: str = ",",
+    *,
+    after: ParseResult | None = None,
 ) -> ParseResult:
     """Parse delimiter-separated tick rows into a TICK_DTYPE record array.
 
     The first row must be a header naming all eight tick fields (any order).
     Rows with a zero BidPrice1 or AskPrice1 are dropped and counted; any
     other violation, such as a non-finite time or price, raises with the
-    offending line number. np.loadtxt reads the body unless numpy would
-    split or read it differently from the row parser (a lone carriage
-    return, a NUL); the row parser runs only if np.loadtxt cannot. A
-    stream that cannot seek is read into memory.
+    offending line number. The text is read PARSE_BLOCK characters at a
+    time. np.loadtxt reads a block unless numpy would split or read it
+    differently from the row parser (a lone carriage return, a NUL); the
+    row parser runs only if np.loadtxt cannot.
+
+    With `after`, the result of parsing the text just before this one,
+    `stream` continues that text: it has no header, its lines are numbered
+    on from there, and its first kept tick must not go back in time from
+    the last one kept there.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    elif not stream.seekable():
-        stream = io.StringIO(stream.read())
-    header_line = stream.readline()
-    if not header_line:
-        raise MissingField("stream is empty; header row required")
-    header = [h.strip() for h in header_line.rstrip("\n").split(delimiter)]
-    for name in TICK_FIELDS:
-        if name not in header:
-            raise MissingField(f"header lacks required field {name!r}")
-    columns = [header.index(name) for name in TICK_FIELDS]
-    start = stream.tell()
-
-    def line_of(row: int) -> int:
-        stream.seek(start)
-        data = (n for n, line in enumerate(stream, 2) if line.rstrip("\n"))
-        return next(itertools.islice(data, row, None))
-
-    fast, has_rows = len(delimiter) == 1 and delimiter not in "\r\n", False
-    for chunk in iter(lambda: stream.read(1 << 20), ""):
-        fast = fast and "\r" not in chunk and "\0" not in chunk
-        has_rows = has_rows or bool(chunk.strip("\n"))
-    stream.seek(start)
-    if fast and has_rows:
-        ticks = _read_fast(stream, columns, len(header), delimiter)
-        if ticks is not None:
-            return _checked(ticks, None, line_of)
-        stream.seek(start)
-    return _checked(*_read_rows(enumerate(stream, 2), columns, len(header),
-                                delimiter), line_of)
+    parts = []
+    for text in _text_blocks(stream):
+        after = _parse_block(text, delimiter, after)
+        parts.append(after)
+    if len(parts) == 1:
+        return after
+    records = np.concatenate([p.records for p in parts]).view(np.recarray)
+    return replace(after, records=records,
+                   dropped_rows=sum(p.dropped_rows for p in parts))
 
 
-def resample(ticks: np.recarray, interval: float = 30.0) -> np.recarray:
-    """Aggregate ticks (in time order) into fixed-interval OHLC bars.
+class BarParts:
+    """The partial bars of ticks added block by block, in time order, on
+    the grid through the first tick: for each populated bucket its index
+    (exact as float64 until the 2^24 rule has passed), its first, highest,
+    lowest and last price, and its last cumulative volume. Memory holds
+    these, not the ticks."""
 
-    Empty intervals between populated ones are forward-filled with the
-    previous close (o=h=l=c, volume_delta 0). Volume is cumulative; per-bar
-    deltas are differenced and clamped at 0."""
+    # BAR_DTYPE's layout, so that bars can take the partial bars' memory
+    DTYPE = np.dtype([("bucket", "f8"), ("open", "f8"), ("high", "f8"),
+                      ("low", "f8"), ("close", "f8"), ("volume", "i8")])
+
+    def __init__(self, interval: float):
+        if not interval > 0:
+            raise ValueError(f"interval must be positive, not {interval}")
+        self.interval, self.ticks, self.end = interval, 0, -np.inf
+        # the partial bars no later tick can reach, and the last one, which
+        # one can; a bytearray grows in place, without copying them all
+        self.closed, self.last = bytearray(), None
+
+    def add(self, ticks: np.recarray) -> None:
+        ts, price = ticks.timestamp, ticks.last_price
+        if not self.ticks:
+            self.origin, self.first_volume = ts[0], ticks.volume[0]
+        self.ticks += len(ticks)
+        self.end = ts[-1]
+        bucket = (ts - self.origin) // self.interval
+        first = np.flatnonzero(np.diff(bucket, prepend=-np.inf))  # opens one
+        last = np.append(first[1:], len(ticks)) - 1
+        parts = np.recarray(len(first), self.DTYPE)
+        parts.bucket = bucket[first]
+        parts.open = price[first]
+        parts.high = np.maximum.reduceat(price, first)
+        parts.low = np.minimum.reduceat(price, first)
+        parts.close = price[last]
+        parts.volume = ticks.volume[last]
+        if self.last is not None and self.last.bucket == parts.bucket[0]:
+            edge = parts[0]     # a bar on both sides of the edge
+            edge.open = self.last.open
+            edge.high = max(self.last.high, edge.high)
+            edge.low = min(self.last.low, edge.low)
+        elif self.last is not None:
+            self.closed += self.last.tobytes()
+        self.closed += parts[:-1].tobytes()
+        self.last = parts[-1]
+
+    def bars(self) -> np.recarray:
+        """The bars, once every tick is in: each empty bucket before the
+        last is forward-filled with the previous close (o=h=l=c,
+        volume_delta 0), and volume deltas are differenced and clamped at
+        0. Ticks that would forward-fill more than _MAX_FILLED_BARS are
+        refused, judged from their span and count before any bar exists."""
+        span, interval = float(self.end - self.origin), self.interval
+        if span // interval >= self.ticks + _MAX_FILLED_BARS:
+            raise ValueError(f"{interval!r} s bars over the {span!r} s of "
+                             f"{self.ticks} ticks would forward-fill more "
+                             f"than {_MAX_FILLED_BARS} bars")
+        self.closed += self.last.tobytes()
+        parts = np.frombuffer(self.closed, self.DTYPE)
+        self.populated = n = len(parts)
+        deltas = np.maximum(0, np.diff(parts["volume"],
+                                       prepend=self.first_volume))
+        if parts["bucket"][-1] == n - 1:    # no empty bucket: bars in place
+            bars = parts.view(BAR_DTYPE).view(np.recarray)
+            bars.volume_delta = deltas
+        else:
+            n = int(parts["bucket"][-1]) + 1
+            populated = parts["bucket"].astype(np.int64)
+            owner = np.searchsorted(populated, np.arange(n), side="right") - 1
+            filled = populated[owner] != np.arange(n)   # copies bar owner
+            bars = np.recarray(n, BAR_DTYPE)
+            bars.close = parts["close"][owner]
+            for name in ("open", "high", "low"):
+                bars[name] = np.where(filled, bars.close, parts[name][owner])
+            bars.volume_delta = np.where(filled, 0, deltas[owner])
+        bars.open_time = self.origin + np.arange(n) * interval
+        return bars
+
+
+def resample(ticks: np.recarray, interval: float = 30.0, *,
+             after: BarParts | None = None) -> np.recarray:
+    """Aggregate ticks (in time order) into fixed-interval OHLC bars on the
+    grid through the first tick (see `BarParts.bars`).
+
+    With `after`, the partial bars of the ticks just before these, `after`
+    takes these ticks in too, and the bars are those of all of them."""
     if not len(ticks):
         raise EmptyInput("no ticks to resample")
-    if not interval > 0:
-        raise ValueError(f"interval must be positive, not {interval}")
-    ts, price = ticks.timestamp, ticks.last_price
-    if not (np.isfinite(ts).all() and (np.diff(ts) >= 0).all()):
+    parts = BarParts(interval) if after is None else after
+    ts = ticks.timestamp
+    if not (np.isfinite(ts).all()
+            and (np.diff(ts, prepend=parts.end) >= 0).all()):
         raise NonMonotoneTimestamp(
             0, "resample needs finite timestamps in non-decreasing order")
-    span = float(ts[-1] - ts[0])
-    if span // interval >= len(ticks) + _MAX_FILLED_BARS:
-        raise ValueError(f"{interval!r} s bars over the {span!r} s of "
-                         f"{len(ticks)} ticks would forward-fill more than "
-                         f"{_MAX_FILLED_BARS} bars")
-    bucket = ((ts - ts[0]) // interval).astype(np.int64)
-    first = np.flatnonzero(np.diff(bucket, prepend=-1))  # tick opening a bar
-    last = np.append(first[1:], len(ticks)) - 1
-    n = int(bucket[-1]) + 1
-    populated = bucket[first]
-    owner = np.searchsorted(populated, np.arange(n), side="right") - 1
-    filled = populated[owner] != np.arange(n)   # no tick: copies bar owner
-    bars = np.recarray(n, BAR_DTYPE)
-    bars.open_time = ts[0] + np.arange(n) * interval
-    bars.close = price[last][owner]
-    for name, values in (("open", price[first]),
-                         ("high", np.maximum.reduceat(price, first)),
-                         ("low", np.minimum.reduceat(price, first))):
-        bars[name] = np.where(filled, bars.close, values[owner])
-    deltas = np.maximum(0, np.diff(ticks.volume[last],
-                                   prepend=ticks.volume[0]))
-    bars.volume_delta = np.where(filled, 0, deltas[owner])
-    return bars
+    parts.add(ticks)
+    return parts.bars()
+
+
+@dataclass
+class TickBars:
+    bars: np.recarray   # BAR_DTYPE
+    ticks: int          # ticks kept
+    dropped_rows: int   # rows with a zero bid/ask sentinel
+    filled: int         # bars forward-filled
+
+
+def read_bars(stream: io.TextIOBase, delimiter: str,
+              interval: float) -> TickBars:
+    """The bars of `resample(parse_ticks(stream, delimiter).records,
+    interval)`, with the same errors for a positive interval, in memory
+    that does not grow with the file: each PARSE_BLOCK characters of text
+    are parsed and reduced to partial bars at once."""
+    parts, block, parsed, dropped = BarParts(interval), None, None, 0
+    for text in _text_blocks(stream):
+        parsed = parse_ticks(text, delimiter, after=parsed)
+        dropped += parsed.dropped_rows
+        if len(parsed.records):
+            if block is not None:
+                parts.add(block)
+            block = parsed.records
+    # the last block goes through resample, which the benchmark's tracer
+    # wraps; no block of ticks raises EmptyInput there
+    bars = resample(parsed.records if block is None else block, interval,
+                    after=parts)
+    return TickBars(bars, parts.ticks, dropped, len(bars) - parts.populated)
 
 
 def fit_minmax(series: np.ndarray) -> NormalizationParams:
@@ -311,20 +455,16 @@ _VERSION = 1
 
 
 def save_dataset(ds: WindowedDataset, path: str) -> None:
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    buf.write(struct.pack("<IIII", *ds.inputs.shape, 1))
     names = "\x1f".join(ds.feature_names).encode("utf-8")
-    buf.write(struct.pack("<I", len(names)))
-    buf.write(names)
-    buf.write(struct.pack("<BB", 1, 1))   # normalization, target times
-    for values in (ds.norm.x_min, ds.norm.x_max, ds.target_times):
-        buf.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-    buf.write(np.ascontiguousarray(ds.inputs, dtype="<f8").tobytes())
-    buf.write(np.ascontiguousarray(ds.targets, dtype="<f8").tobytes())
-    # through the module, so perfbench/tracing.py's patch of it is seen
-    io_utils.atomic_write_bytes(path, buf.getvalue())
+    header = (_MAGIC + struct.pack("<I", _VERSION)
+              + struct.pack("<IIII", *ds.inputs.shape, 1)
+              + struct.pack("<I", len(names)) + names
+              + struct.pack("<BB", 1, 1))   # normalization, target times
+    with io_utils.atomic_writer(path) as fh:
+        fh.write(header)
+        for values in (ds.norm.x_min, ds.norm.x_max, ds.target_times,
+                       ds.inputs, ds.targets):
+            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def load_dataset(path: str) -> WindowedDataset:

@@ -196,6 +196,11 @@ class TestConfigLoading:
          "[data] split_val = 0.0"),
         ("[data]\nsplit_train = 0.84\nsplit_test = 0.01\n", [],
          "[data] split_test = 0.01"),
+        # a delimiter the tick file does not use named neither the file
+        # nor the delimiter
+        ("[data]\ndelimiter = ;\n", [],
+         "{tmp}/out/ticks.csv: header lacks required field 'UpdateTime' "
+         "(header split on [data] delimiter = ';')"),
     ])
     def test_broken_run_exits_cleanly(self, tmp_path, capsys, text, args,
                                       named):
@@ -641,3 +646,42 @@ class TestPipeline:
             a = Path(out_a, name).read_bytes()
             b = Path(out_b, name).read_bytes()
             assert a == b, name
+
+
+def test_capital_below_one_unit_names_the_key(tmp_path, capsys):
+    # the strategy trades one unit whatever the capital: below one bar's
+    # price the equity goes below 0, which gave "per-period return <= -100%"
+    config = write_config(tmp_path, """\
+[run]
+seed = 11
+
+[data]
+bar_interval = 0.5
+window_in = 5
+
+[synthetic]
+length = 3000
+phi = 0.9
+
+[model]
+kind = quantile-linear
+
+[indicators]
+atr_low = 0.002
+atr_high = 0.05
+
+[backtest]
+initial_capital = 0.05
+""")
+    out = str(tmp_path / "out")
+    for command in ("synth", "ingest", "train"):
+        assert main([command, "--config", config, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["backtest", "--config", config, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: [backtest] initial_capital = 0.05 cannot carry one unit of "
+        "the test split: equity -")
+    assert err.endswith(" <= 0 at the close of bar 292 "
+                        "(open_time 33821.0)\n")
+    assert not os.path.exists(os.path.join(out, "backtest-quantile-linear.txt"))
