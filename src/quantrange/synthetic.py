@@ -66,6 +66,15 @@ def generate(spec: SyntheticSpec) -> tuple[np.ndarray, Callable[[float, float], 
     for eps in memoryview(noise):
         x = _drift(spec, x) + _sigma(spec, x) * eps
         path.append(x)
+        if not math.isfinite(x):
+            break
+    # an overflowed path is stepped on over numpy float64 scalars: NaN + NaN
+    # keeps the sign of a different operand there than over Python floats
+    x = np.float64(x)
+    with np.errstate(all="ignore"):
+        for eps in noise[len(path) - 1:]:
+            x = _drift(spec, x) + _sigma(spec, x) * eps
+            path.append(x)
     prices = spec.base_price + np.frombuffer(path)
 
     nd = NormalDist()
