@@ -8,11 +8,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import IndicatorConfig, StrategyConfig
 from .errors import AlignmentError, RuinousReturn
-from .indicators import IndicatorConfig, atr_percent, rsi
+from .indicators import atr_percent, rsi
 from .models.forecast import QuantileForecast
 from .strategy import (
-    StrategyConfig,
     Trade,
     generate_signal,    # perfbench/tracing.py still wraps this name
     positions_from_signals,

@@ -118,7 +118,7 @@ def _train_kind(cfg: RunConfig, kind: str, ds: md.WindowedDataset,
     """Train `kind` on ds from `seed`; write its checkpoint and loss table
     and return the loss history."""
     spec = cfg.specs[kind]
-    config = KINDS[kind].train_config(replace(cfg.train, seed=seed))
+    config = KINDS[type(spec)].train_config(replace(cfg.train, seed=seed))
     params, history = train(spec, ds.inputs, ds.targets, config)
     save_checkpoint(_out(cfg, f"model-{kind}.ckpt"), spec, params)
     atomic_write_text(_out(cfg, f"loss-{kind}.tsv"), _indexed_tsv(history))
@@ -227,7 +227,7 @@ def cmd_backtest(cfg: RunConfig) -> None:
 def cmd_compare(cfg: RunConfig) -> None:
     ds = md.load_dataset(_out(cfg, "train.wds"))
     rows = ["Model\tPICP\tCWC"]
-    for index, kind in enumerate(KINDS):
+    for index, kind in enumerate(cfg.specs):
         _train_kind(cfg, kind, ds, cfg.seed + index)
         rows.append(im.comparison_row(kind, _eval_kind(cfg, kind)))
     atomic_write_text(_out(cfg, "compare.tsv"), "\n".join(rows) + "\n")

@@ -73,10 +73,11 @@ class AlignmentError(QuantRangeError):
     pass
 
 
-# --- synthetic / cli ---
+# --- config / synthetic ---
 
-class InvalidSpec(QuantRangeError):
-    pass
+class InvalidSpec(QuantRangeError, ValueError):
+    """A value a config dataclass does not allow, or a synthetic path that
+    ingest could not read; a ValueError too, as any bad argument is."""
 
 
 class ConfigError(QuantRangeError):

@@ -14,25 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import DEFAULT_LEVELS
 from .errors import InsufficientData, MissingLevel
-from .models.forecast import DEFAULT_LEVELS
-
-
-@dataclass(frozen=True)
-class IndicatorConfig:
-    rsi_period: int = 14
-    atr_period: int = 14
-    atr_low: float = 0.01
-    atr_high: float = 0.03
-    threshold: float = 1.0
-
-    def __post_init__(self):
-        if self.rsi_period < 1 or self.atr_period < 1:
-            raise ValueError("indicator periods must be >= 1")
-        if not 0.0 < self.atr_low < self.atr_high:
-            raise ValueError("need 0 < atr_low < atr_high")
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
 
 
 @dataclass(frozen=True)

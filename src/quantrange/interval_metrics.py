@@ -7,27 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MetricConfig
 from .errors import EmptyInput, LengthMismatch, ZeroRange
 from .models.forecast import QuantileForecast, interval_bounds
 from .models.losses import pinball_loss
-
-CWC_VARIANTS = ("as-printed", "squared-deviation")
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    beta: float = 0.1
-    eta: float = 30.0
-    cwc_variant: str = "as-printed"
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.cwc_variant not in CWC_VARIANTS:
-            raise ValueError(f"cwc_variant must be one of {CWC_VARIANTS}")
-
 
 @dataclass
 class MetricsReport:

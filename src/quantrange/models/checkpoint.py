@@ -9,11 +9,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..config import parse_value
+from ..config import MODEL_KINDS, QuantileLevels, parse_value
 from ..errors import MissingArtifact
 from ..io_utils import atomic_write_bytes, reading
-from .forecast import QuantileLevels
-from .network import KINDS, ParameterSet, parameter_shapes
+from .network import ParameterSet, parameter_shapes
 
 _MAGIC = b"QRCKPTv1"
 
@@ -32,14 +31,14 @@ def _spec_to_lines(kind: str, spec) -> list[str]:
 def _spec_from_lines(lines: list[str]):
     kv = dict(line.partition(" = ")[::2] for line in lines)
     kind = kv.pop("kind")
-    cls = KINDS[kind].spec_class
+    cls = MODEL_KINDS[kind]
     types = {f.name: f.type for f in fields(cls)}
     return kind, cls(**{key: parse_value(types[key], value)
                         for key, value in kv.items()})
 
 
 def save_checkpoint(path: str, spec, params: ParameterSet) -> None:
-    kind, = (k for k, entry in KINDS.items() if type(spec) is entry.spec_class)
+    kind, = (k for k, cls in MODEL_KINDS.items() if type(spec) is cls)
     buf = io.BytesIO()
     buf.write(_MAGIC)
     header = "\n".join(_spec_to_lines(kind, spec)).encode("utf-8")

@@ -8,34 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MissingArtifact, MissingLevel
+from ..config import QuantileLevels
+from ..errors import MissingArtifact
 from ..io_utils import atomic_write_bytes, reading
-
-DEFAULT_LEVELS = (0.05, 0.10, 0.50, 0.90, 0.95)
-
-_LEVEL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuantileLevels:
-    levels: tuple[float, ...] = DEFAULT_LEVELS
-
-    def __post_init__(self):
-        lv = tuple(float(x) for x in self.levels)
-        if any(not 0.0 < x < 1.0 for x in lv):
-            raise ValueError("quantile levels must lie in (0, 1)")
-        if any(b <= a for a, b in zip(lv, lv[1:])):
-            raise ValueError("quantile levels must be strictly increasing")
-        object.__setattr__(self, "levels", lv)
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def index_of(self, level: float) -> int:
-        for i, x in enumerate(self.levels):
-            if abs(x - level) <= _LEVEL_TOL:
-                return i
-        raise MissingLevel(f"level {level} not among {self.levels}")
 
 
 @dataclass

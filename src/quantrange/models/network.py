@@ -1,5 +1,6 @@
-"""Quantile models: the table of model kinds, their specs and parameters,
-and the forward and backward passes.
+"""Quantile models: the table of what each model kind runs (its spec
+classes live in `config`), their parameters, and the forward and
+backward passes.
 
 Every kind ends in the same dense head (dense layers with a ReLU after
 each but the last, which emits one value per quantile level), and all
@@ -16,90 +17,17 @@ minimize the same mean pinball objective:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
 
+from ..config import LinearSpec, MLPSpec, ModelSpec
 from ..errors import NonFiniteLoss, ShapeMismatch
 from . import layers as L
-from .forecast import QuantileForecast, QuantileLevels
+from .forecast import QuantileForecast
 from .losses import mean_pinball, mean_pinball_grad
-
-
-def _check_widths(name: str, widths: tuple[int, ...]) -> None:
-    if len(widths) != 2 or min(widths) < 1:
-        raise ValueError(f"{name} must be two positive layer widths")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    window_in: int = 5
-    num_features: int = 1
-    num_blocks: int = 4
-    num_heads: int = 2
-    key_dim: int = 8
-    conv_channels: int = 16
-    conv_kernel: int = 3
-    dense_units: tuple[int, int] = (32, 16)
-    dropout_rate: float = 0.1
-    levels: QuantileLevels = field(default_factory=QuantileLevels)
-    ln_epsilon: float = 1e-5
-
-    # (weight, bias) parameter names of the dense head, input side first
-    head = (("dense1_w", "dense1_b"), ("dense2_w", "dense2_b"),
-            ("out_w", "out_b"))
-
-    def __post_init__(self):
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
-        for name in ("window_in", "num_features", "num_heads", "key_dim",
-                     "conv_channels", "conv_kernel"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.conv_kernel > self.window_in:
-            raise ValueError(f"conv_kernel {self.conv_kernel} exceeds "
-                             f"window_in {self.window_in}")
-        _check_widths("dense_units", self.dense_units)
-
-    @property
-    def model_dim(self) -> int:
-        return self.num_heads * self.key_dim
-
-    @property
-    def head_widths(self) -> tuple[int, ...]:
-        return (self.model_dim, *self.dense_units, len(self.levels))
-
-
-@dataclass(frozen=True)
-class LinearSpec:
-    num_inputs: int                       # flattened window size; 0 = intercept only
-    levels: QuantileLevels = field(default_factory=QuantileLevels)
-
-    head = (("w", "b"),)
-
-    @property
-    def head_widths(self) -> tuple[int, ...]:
-        return (self.num_inputs, len(self.levels))
-
-
-@dataclass(frozen=True)
-class MLPSpec:
-    num_inputs: int
-    hidden: tuple[int, int] = (32, 16)
-    levels: QuantileLevels = field(default_factory=QuantileLevels)
-
-    head = (("w1", "b1"), ("w2", "b2"), ("w3", "b3"))
-
-    def __post_init__(self):
-        _check_widths("hidden", self.hidden)
-
-    @property
-    def head_widths(self) -> tuple[int, ...]:
-        return (self.num_inputs, *self.hidden, len(self.levels))
 
 
 class ParameterSet:
@@ -269,14 +197,13 @@ def _encoder_backward(spec: ModelSpec, caches, dpooled, grads) -> None:
 
 @dataclass(frozen=True)
 class ModelKind:
-    """A model kind: its spec class, the input check (spec, x) -> x as a
-    float array or ShapeMismatch, the training settings it imposes on a
+    """What a model kind runs: the input check (spec, x) -> x as a float
+    array or ShapeMismatch, the training settings it imposes on a
     TrainConfig, and the body between input and dense head, if any: its
     parameter shapes, its forward pass (spec, params, x, rng) -> (head
     input, caches) and its backward pass (spec, caches, dhead_input,
     grads), which writes its gradients into grads."""
 
-    spec_class: type
     inputs: Callable
     train_config: Callable = lambda config: config
     body_shapes: Callable = lambda spec: {}
@@ -291,21 +218,19 @@ def _linear_training(config):
                    batch_size=None, lr_schedule="inverse-sqrt")
 
 
+# each kind's functions, by its spec class (config.MODEL_KINDS names them)
 KINDS = {
-    "futurequant": ModelKind(ModelSpec, _encoder_inputs,
-                             body_shapes=_encoder_shapes,
-                             body_forward=_encoder_forward,
-                             body_backward=_encoder_backward),
-    "quantile-linear": ModelKind(LinearSpec, _dense_inputs, _linear_training),
-    "quantile-mlp": ModelKind(MLPSpec, _dense_inputs),
+    ModelSpec: ModelKind(_encoder_inputs, body_shapes=_encoder_shapes,
+                         body_forward=_encoder_forward,
+                         body_backward=_encoder_backward),
+    LinearSpec: ModelKind(_dense_inputs, _linear_training),
+    MLPSpec: ModelKind(_dense_inputs),
 }
-
-_BY_SPEC = {kind.spec_class: kind for kind in KINDS.values()}
 
 
 def parameter_shapes(spec) -> dict[str, tuple[int, ...]]:
     """The body's shapes, then the head's: the checkpoint's name order."""
-    return {**_BY_SPEC[type(spec)].body_shapes(spec), **_head_shapes(spec)}
+    return {**KINDS[type(spec)].body_shapes(spec), **_head_shapes(spec)}
 
 
 def init_params(spec, rng: np.random.Generator) -> ParameterSet:
@@ -329,7 +254,7 @@ def forward_raw(spec, params: ParameterSet, x: np.ndarray,
                 rng: np.random.Generator | None = None):
     """Full forward pass of any kind, with dropout if rng is given. Returns
     (outputs (N, Q), caches)."""
-    kind = _BY_SPEC[type(spec)]
+    kind = KINDS[type(spec)]
     h = kind.inputs(spec, x)
     body_caches = None
     if kind.body_forward:
@@ -339,7 +264,7 @@ def forward_raw(spec, params: ParameterSet, x: np.ndarray,
 
 
 def backward_raw(spec, caches, dout: np.ndarray) -> dict:
-    body_backward = _BY_SPEC[type(spec)].body_backward
+    body_backward = KINDS[type(spec)].body_backward
     body_caches, head_caches = caches
     grads: dict[str, np.ndarray] = {}
     dh = _head_backward(spec.head, head_caches, dout, grads,
@@ -358,7 +283,7 @@ def forward(spec, params: ParameterSet, x: np.ndarray) -> QuantileForecast:
     one, so no chunk is one window when N > INFER_CHUNK (BLAS may sum a
     one-row product in another order); every other op is row-wise, so the
     values have the bits of one full-batch call."""
-    x = _BY_SPEC[type(spec)].inputs(spec, x)
+    x = KINDS[type(spec)].inputs(spec, x)
     # [0] drops each chunk's caches before the next chunk runs
     values = [forward_raw(spec, params, part)[0]
               for part in np.array_split(x, -(-len(x) // INFER_CHUNK) or 1)]

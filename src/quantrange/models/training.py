@@ -6,49 +6,15 @@ fixed shuffle order, serial batch reduction, float64 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..config import TrainConfig
 from ..errors import NonFiniteLoss
 from .network import ParameterSet, init_params, loss_and_grads, loss_value
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-LR_SCHEDULES = ("exponential", "inverse-sqrt")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 200
-    batch_size: int | None = 32    # None: one full batch per epoch, in order
-    seed: int = 0
-    optimizer: str = "adam"        # "sgd" | "momentum" | "adam"
-    # step size in epoch e: "exponential" lr * lr_decay**e,
-    # "inverse-sqrt" lr / sqrt(1 + e)
-    lr_schedule: str = "exponential"
-    lr_decay: float = 1.0
-    momentum: float = 0.9
-    gradient_clip: float | None = None
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in ("sgd", "momentum", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.gradient_clip is not None and not self.gradient_clip > 0:
-            raise ValueError("gradient_clip must be positive")
 
 
 class Optimizer:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicators import IndicatorConfig
+from .config import IndicatorConfig
 
 
 class SignalKind(enum.Enum):
@@ -42,12 +42,6 @@ class Trade:
     def pnl(self) -> float:
         direction = 1.0 if self.side is Side.LONG else -1.0
         return direction * (self.exit_price - self.entry_price)
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    sell_vs_upper_band: bool = False   # compare the sell branch to the upper band
-    transaction_cost: float = 0.0      # per unit traded, currency
 
 
 # every reason a bar's signal can carry: "no-forecast" (set by the backtest

@@ -5,42 +5,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidSpec
-
-KINDS = ("gaussian-ar1", "heteroscedastic-ar1", "regime-switch")
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    kind: str = "gaussian-ar1"
-    length: int = 5000
-    seed: int = 0
-    phi: float = 0.95            # AR coefficient, |phi| < 1
-    sigma0: float = 1.0          # base noise scale
-    vol_sensitivity: float = 0.5  # heteroscedastic kind: sigma_t = sigma0*(1 + k*|x|)
-    regime_shift: float = 0.5    # regime-switch kind: drift +/- shift by sign of x
-    base_price: float = 100.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise InvalidSpec(f"{f.name} must be finite")
-        if self.kind not in KINDS:
-            raise InvalidSpec(f"kind must be one of {KINDS}")
-        if abs(self.phi) >= 1.0:
-            raise InvalidSpec("need |phi| < 1")
-        if self.sigma0 <= 0.0:
-            raise InvalidSpec("sigma0 must be positive")
-        if self.vol_sensitivity < 0.0:
-            raise InvalidSpec("vol_sensitivity must be >= 0")
-        if self.length < 2:
-            raise InvalidSpec("length must be >= 2")
+from .config import SyntheticSpec
 
 
 def _sigma(spec: SyntheticSpec, x: float) -> float:

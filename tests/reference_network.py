@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from quantrange.config import ModelSpec
 from quantrange.models.losses import mean_pinball
 from quantrange.models.network import (
-    ModelSpec,
     ParameterSet,
     _block_forward,
     forward_raw,

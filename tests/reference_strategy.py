@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from quantrange.indicators import IndicatorConfig
+from quantrange.config import IndicatorConfig
 from quantrange.strategy import Side, Signal, SignalKind, Trade
 
 UNITS = {Side.FLAT: 0, Side.LONG: 1, Side.SHORT: -1}

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from quantrange.synthetic import SyntheticSpec, _drift, _sigma
+from quantrange.config import SyntheticSpec
+from quantrange.synthetic import _drift, _sigma
 
 
 def generate_prices(spec: SyntheticSpec) -> np.ndarray:

@@ -16,24 +16,25 @@ from quantrange import interval_metrics as im
 from quantrange import market_data as md
 from quantrange.backtest import cumulative_return, drawdown
 from quantrange.cli import main
+from quantrange.config import (
+    LinearSpec,
+    MetricConfig,
+    ModelSpec,
+    QuantileLevels,
+    SyntheticSpec,
+    TrainConfig,
+)
 from quantrange.indicators import shape_from_quantiles
-from quantrange.interval_metrics import MetricConfig, crossing_rate, cwc
+from quantrange.interval_metrics import crossing_rate, cwc
 from quantrange.models.forecast import (
     QuantileForecast,
-    QuantileLevels,
     repair_monotonic,
 )
 from quantrange.models.layers import softmax
-from quantrange.models.network import (
-    LinearSpec,
-    ModelSpec,
-    forward,
-    init_params,
-    zero_params,
-)
-from quantrange.models.training import TrainConfig, train
+from quantrange.models.network import forward, init_params, zero_params
+from quantrange.models.training import train
 from quantrange.strategy import SignalKind, generate_signal
-from quantrange.synthetic import SyntheticSpec, generate, oracle_forecast
+from quantrange.synthetic import generate, oracle_forecast
 from reference_backtest import scenario_test
 from reference_network import encoder_block, gradient_check
 

@@ -9,11 +9,11 @@ from quantrange.backtest import (
     run_backtest,
 )
 from quantrange.cli import main
+from quantrange.config import IndicatorConfig, QuantileLevels, StrategyConfig
 from quantrange.errors import AlignmentError, RuinousReturn
-from quantrange.indicators import IndicatorConfig
 from quantrange.market_data import BAR_DTYPE
-from quantrange.models.forecast import QuantileForecast, QuantileLevels
-from quantrange.strategy import Side, StrategyConfig
+from quantrange.models.forecast import QuantileForecast
+from quantrange.strategy import Side
 from reference_backtest import scenario_test
 from test_acceptance import ACCEPTANCE_CONFIG
 from test_golden import BACKTEST_INDICATORS

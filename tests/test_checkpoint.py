@@ -3,10 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quantrange.config import LinearSpec, ModelSpec, QuantileLevels
 from quantrange.errors import MissingArtifact
 from quantrange.models.checkpoint import load_checkpoint, save_checkpoint
-from quantrange.models.forecast import QuantileLevels
-from quantrange.models.network import LinearSpec, ModelSpec, init_params
+from quantrange.models.network import init_params
 
 
 def test_network_round_trip_bit_exact(tmp_path):

@@ -11,9 +11,9 @@ import pytest
 
 from quantrange import synthetic
 from quantrange.cli import main
-from quantrange.config import load_config
+from quantrange.config import MODEL_KINDS as KINDS
+from quantrange.config import SYNTHETIC_KINDS, SyntheticSpec, load_config
 from quantrange.errors import ConfigError
-from quantrange.models.network import KINDS
 from test_acceptance import ACCEPTANCE_CONFIG
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -126,6 +126,12 @@ class TestConfigLoading:
         ("model", "[model]\nconv_kernel = 9\n"),
         # reported as [model] window_in, a key [model] does not have
         ("data", "[data]\nwindow_in = 0\n"),
+        # the splits sum to 1, so ingest put 90 %, 5 % and 5 % of the bars
+        # in train, val and test and the run went on
+        ("data", "[data]\nsplit_train = -0.1\nsplit_val = 1.05\n"
+                 "split_test = 0.05\n"),
+        # the backtest paid the strategy 5 a fill and exited 0
+        ("strategy", "[strategy]\ntransaction_cost = -5\n"),
     ])
     def test_rejected_value_exits_cleanly(self, tmp_path, capsys, section,
                                           text):
@@ -135,6 +141,24 @@ class TestConfigLoading:
         assert code == 1
         assert err.startswith("error:") and f"[{section}]" in err
         assert "Traceback" not in err
+
+    # a declared range's error names the section, key, range and value
+    @pytest.mark.parametrize("text, message", [
+        ("[data]\nsplit_train = -0.1\nsplit_val = 1.05\nsplit_test = 0.05\n",
+         "[data] split_train must be in [0, 1], not -0.1"),
+        ("[strategy]\ntransaction_cost = -5\n",
+         "[strategy] transaction_cost must be >= 0, not -5.0"),
+        ("[synthetic]\nbase_price = 0\n",
+         "[synthetic] base_price must be > 0, not 0.0"),
+        ("[model]\ndense_units = 4,0\n",
+         "[model] dense_units must be >= 1, not 0"),
+    ])
+    def test_range_error_names_key_range_and_value(self, tmp_path, capsys,
+                                                   text, message):
+        code = main(["synth", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     # each gave a raw configparser traceback; the non-UTF-8 file raised a
     # UnicodeDecodeError, and a directory was reported as not found
@@ -217,7 +241,7 @@ class TestConfigLoading:
         with open(README, encoding="utf-8") as fh:
             block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
         # the comments list every kind there is
-        assert "; " + " | ".join(synthetic.KINDS) + "\n" in block
+        assert "; " + " | ".join(SYNTHETIC_KINDS) + "\n" in block
         assert "; " + " | ".join(KINDS) + "\n" in block
         config = write_config(tmp_path, block)
         cfg = load_config(config)
@@ -556,7 +580,7 @@ class TestPipeline:
         # the heteroscedastic path of criterion c05 falls to about -174
         text = ("[run]\nseed = 7\n\n[synthetic]\n"
                 "kind = heteroscedastic-ar1\nlength = 5000\n")
-        prices, _ = synthetic.generate(synthetic.SyntheticSpec(
+        prices, _ = synthetic.generate(SyntheticSpec(
             kind="heteroscedastic-ar1", length=5000, seed=7))
         first = int(np.flatnonzero(prices <= 0.0)[0])
         out = tmp_path / "out"
@@ -570,7 +594,9 @@ class TestPipeline:
     # each wrote a tick file of nan (or a reversed oracle) and exited 0
     @pytest.mark.parametrize("key, value", [
         ("phi", "nan"), ("sigma0", "nan"), ("sigma0", "inf"),
-        ("base_price", "nan"), ("vol_sensitivity", "-0.5")])
+        ("base_price", "nan"), ("vol_sensitivity", "-0.5"),
+        # each refused at tick 0, naming no key
+        ("base_price", "0"), ("base_price", "-1")])
     def test_synth_refuses_bad_spec(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
         config = write_config(tmp_path, f"[synthetic]\n{key} = {value}\n")

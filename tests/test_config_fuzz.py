@@ -1,21 +1,27 @@
 """Fuzz over every key of the config schema, which `config._SCHEMA` derives
-from the section dataclasses: each key gets valid, edge and garbage text.
+from the section dataclasses: each key gets valid, edge and garbage text,
+and the bounds of the range its field declares with the numbers next to
+them.
 Loading must return a config or raise a ConfigError, and a few whole runs
 (synth -> ingest -> train -> eval -> backtest) must exit 0 or 1 with no
 traceback."""
 
+import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from quantrange import synthetic
 from quantrange.cli import main
-from quantrange.config import _SCHEMA, load_config
+from quantrange.config import MODEL_KINDS as KINDS
+from quantrange.config import (
+    CWC_VARIANTS, SYNTHETIC_KINDS, _SCHEMA, QuantileLevels, Range, RunConfig,
+    load_config,
+)
 from quantrange.errors import ConfigError
-from quantrange.interval_metrics import CWC_VARIANTS
-from quantrange.models.network import KINDS
 
 KEYS = [(section, key, annotation) for section, keys in _SCHEMA.items()
         for key, annotation in keys.items()]
@@ -30,7 +36,7 @@ EDGES = ["0", "-0", "1", "-1", "2", "3", "-2.5", "0.5", "1e-300", "1e300",
 CHOICES = {
     "int": ["1", "2", "3", "4", "5", "7"],
     "float": ["0.05", "0.1", "0.3", "0.5", "0.9", "2.0", "30.0"],
-    "str": ["synthetic", ",", *synthetic.KINDS, *KINDS, "sgd", "momentum",
+    "str": ["synthetic", ",", *SYNTHETIC_KINDS, *KINDS, "sgd", "momentum",
             "adam", *CWC_VARIANTS],
     "bool": ["true", "false", "on", "off", "1", "0"],
     "tuple[int, int]": ["1,1", "4,4", "8,2"],
@@ -45,12 +51,64 @@ CHOICES["float | None"] = CHOICES["float"]
 GARBAGE = st.text(st.characters(blacklist_categories=("Cs",),
                                 blacklist_characters="\n\r"), max_size=12)
 
+# the dataclasses whose fields each section's keys set
+CLASSES = {"model": list(KINDS.values()),
+           **{name: [cls] for name, cls in get_type_hints(RunConfig).items()
+              if name in _SCHEMA}}
 
-def values(annotation: str):
-    """Valid, edge and garbage text for a key of `annotation`."""
+
+def declared(section: str, key: str) -> Range | None:
+    """The range the field a [section] key sets declares, if any; for
+    `levels`, the range QuantileLevels declares for each level."""
+    for cls in CLASSES.get(section, ()):
+        for f in fields(cls):
+            if f.name == key:
+                if f.type == "QuantileLevels":
+                    f, = fields(QuantileLevels)
+                allowed = f.metadata.get("allowed")
+                return allowed if isinstance(allowed, Range) else None
+    return None
+
+
+def bound_edges(annotation: str, allowed: Range) -> list[tuple[str, bool]]:
+    """(text, inside) for each finite bound of `allowed` and the numbers
+    next to it on either side, as a value of `annotation`. `inside` is read
+    from the bound's bracket, not from `Range`'s own test."""
+    edges = []
+    for bound in (allowed.low, allowed.high):
+        if math.isinf(bound):
+            continue
+        if "int" in annotation:
+            near = [int(bound) - 1, int(bound), int(bound) + 1]
+        else:
+            near = [math.nextafter(bound, -math.inf), bound,
+                    math.nextafter(bound, math.inf)]
+        for v in near:
+            inside = (allowed.low < v < allowed.high
+                      or v == allowed.low and allowed.closed[0] == "["
+                      or v == allowed.high and allowed.closed[1] == "]")
+            text = repr(v)
+            edges.append((f"{text},{text}" if annotation.startswith("tuple")
+                          else text, inside))
+    return edges
+
+
+BOUNDS = {(section, key): bound_edges(annotation, allowed)
+          for section, key, annotation in KEYS
+          if (allowed := declared(section, key)) is not None}
+
+
+def bound_texts(section: str, key: str) -> list[str]:
+    return [text for text, _ in BOUNDS.get((section, key), [])]
+
+
+def values(section: str, key: str, annotation: str):
+    """Valid, edge, bound and garbage text for a [section] key of
+    `annotation`."""
     numbers = st.one_of(st.integers(-10**20, 10**20).map(str),
                         st.floats().map(repr))
-    return st.one_of(st.sampled_from(CHOICES[annotation] + EDGES), numbers,
+    return st.one_of(st.sampled_from(CHOICES[annotation] + EDGES
+                                     + bound_texts(section, key)), numbers,
                      numbers.map(lambda x: f"{x},{x}"), GARBAGE)
 
 
@@ -76,7 +134,7 @@ def loads_or_config_error(text: str) -> None:
 @given(data=st.data())
 def test_each_key_loads_or_raises_config_error(section, key, annotation,
                                                data):
-    raw = data.draw(values(annotation), label="raw")
+    raw = data.draw(values(section, key, annotation), label="raw")
     loads_or_config_error(ini({section: {key: raw}}))
 
 
@@ -88,8 +146,41 @@ def test_many_keys_load_or_raise_config_error(data):
     sections: dict[str, dict[str, str]] = {}
     for section, key, annotation in chosen:
         sections.setdefault(section, {})[key] = data.draw(
-            values(annotation), label=f"[{section}] {key}")
+            values(section, key, annotation), label=f"[{section}] {key}")
     loads_or_config_error(ini(sections))
+
+
+EDGE_CASES = [(section, key, text, inside)
+              for (section, key), edges in BOUNDS.items()
+              for text, inside in edges]
+
+
+def test_bounds_are_read_from_the_declarations():
+    # a lookup that found no range would leave EDGE_CASES empty
+    assert BOUNDS[("data", "split_train")][:3] == [
+        ("-5e-324", False), ("0.0", True), ("5e-324", True)]
+    assert BOUNDS[("model", "levels")][3:] == [
+        ("0.9999999999999999", True), ("1.0", False),
+        ("1.0000000000000002", False)]
+    assert BOUNDS[("model", "dense_units")] == [
+        ("0,0", False), ("1,1", True), ("2,2", True)]
+
+
+@pytest.mark.parametrize("section, key, text, inside", EDGE_CASES,
+                         ids=[f"{s}.{k}={t}" for s, k, t, _ in EDGE_CASES])
+def test_declared_bound_edges(section, key, text, inside):
+    """A value just outside a key's declared range is refused with an
+    error naming the section and key; a value inside is not refused for
+    its range (a rule across keys may still refuse it)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(ini({section: {key: text}}), encoding="utf-8")
+        try:
+            load_config(str(path))
+            error = ""
+        except ConfigError as exc:
+            error = str(exc)
+    assert error.startswith(f"[{section}] {key} must be ") != inside, error
 
 
 # a run small enough that one pipeline takes a fraction of a second
@@ -119,7 +210,8 @@ def test_whole_run_exits_cleanly(tmp_path_factory, capsys, data):
                      unique=True), label="keys"):
         # valid text half the time, so that some runs reach the backtest
         sections.setdefault(section, {})[key] = data.draw(
-            st.sampled_from(CHOICES[annotation]) | st.sampled_from(EDGES),
+            st.sampled_from(CHOICES[annotation])
+            | st.sampled_from(EDGES + bound_texts(section, key)),
             label=f"[{section}] {key}")
     tmp = tmp_path_factory.mktemp("run")
     config = tmp / "run.ini"

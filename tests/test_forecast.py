@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from quantrange.config import QuantileLevels
 from quantrange.errors import MissingLevel
 from quantrange.models.forecast import (
     QuantileForecast,
-    QuantileLevels,
     interval_bounds,
     repair_monotonic,
 )

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from quantrange.models.forecast import QuantileLevels
+from quantrange.config import LinearSpec, MLPSpec, ModelSpec, QuantileLevels
 from quantrange.models.network import (
-    LinearSpec,
-    MLPSpec,
-    ModelSpec,
     backward_raw,
     forward_raw,
     init_params,

@@ -13,12 +13,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def loaded_package_modules(module: str) -> list[str]:
-    """The quantrange.* modules a fresh interpreter holds after importing
+def loaded_package_modules(module: str, package: str = "quantrange"
+                           ) -> list[str]:
+    """The `package`.* modules a fresh interpreter holds after importing
     `module`."""
     code = (f"import sys\nimport {module}\n"
             "print(*sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'quantrange'))")
+            f"if m.split('.')[0] == {package!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -35,6 +36,13 @@ def test_leaf_module_loads_no_model_module(module):
     loaded = loaded_package_modules(module)
     assert module in loaded
     assert [m for m in loaded if m.startswith("quantrange.models")] == []
+
+
+def test_config_loads_only_errors_and_no_numpy():
+    """The config schema is read without numpy or any model module."""
+    assert loaded_package_modules("quantrange.config") == [
+        "quantrange", "quantrange.config", "quantrange.errors"]
+    assert loaded_package_modules("quantrange.config", "numpy") == []
 
 
 def test_package_inits_import_nothing():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from quantrange.config import IndicatorConfig
 from quantrange.errors import InsufficientData
 from quantrange.indicators import (
-    IndicatorConfig,
     atr_percent,
     rsi,
     shape_from_quantiles,

@@ -10,15 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quantrange.config import LinearSpec, MLPSpec, ModelSpec, QuantileLevels
 from quantrange.errors import ShapeMismatch
 from quantrange.models import network
-from quantrange.models.forecast import QuantileLevels
 from quantrange.models.losses import mean_pinball
 from quantrange.models.network import (
     INFER_CHUNK,
-    LinearSpec,
-    MLPSpec,
-    ModelSpec,
     forward,
     forward_raw,
     init_params,

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_layers as ref
+from quantrange.config import TrainConfig
 from quantrange.models import layers as L
 from quantrange.models.network import ParameterSet
-from quantrange.models.training import Optimizer, TrainConfig
+from quantrange.models.training import Optimizer
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantrange.config import ModelSpec
 from quantrange.errors import DimensionMismatch, ShapeMismatch
 from quantrange.models.layers import (
     conv1d_forward,
@@ -10,12 +11,7 @@ from quantrange.models.layers import (
     relu_forward,
     softmax,
 )
-from quantrange.models.network import (
-    ModelSpec,
-    forward,
-    init_params,
-    zero_params,
-)
+from quantrange.models.network import forward, init_params, zero_params
 from reference_network import encoder_block
 
 

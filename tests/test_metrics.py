@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quantrange.config import MetricConfig, QuantileLevels
 from quantrange.errors import LengthMismatch, ZeroRange
 from quantrange.interval_metrics import (
-    MetricConfig,
     comparison_row,
     crossing_rate,
     cwc,
@@ -16,7 +16,6 @@ from quantrange.interval_metrics import (
 )
 from quantrange.models.forecast import (
     QuantileForecast,
-    QuantileLevels,
     repair_monotonic,
 )
 

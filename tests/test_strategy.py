@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from quantrange.indicators import IndicatorConfig
+from quantrange.config import IndicatorConfig, StrategyConfig
 from quantrange.strategy import (
     REASONS,
     Side,
     Signal,
     SignalKind,
-    StrategyConfig,
     generate_signal,
     positions_from_signals,
     signals,

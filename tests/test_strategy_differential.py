@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_strategy as ref
-from quantrange.indicators import IndicatorConfig
+from quantrange.config import IndicatorConfig
 from quantrange.strategy import Signal, positions_from_signals, signals
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

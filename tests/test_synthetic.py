@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
+from quantrange.config import DEFAULT_LEVELS, SyntheticSpec
 from quantrange.errors import InvalidSpec
 from quantrange.market_data import parse_ticks
-from quantrange.models.forecast import DEFAULT_LEVELS
-from quantrange.synthetic import (
-    SyntheticSpec,
-    generate,
-    oracle_forecast,
-    to_tick_text,
-)
+from quantrange.synthetic import generate, oracle_forecast, to_tick_text
 
 
 class TestSpecValidation:

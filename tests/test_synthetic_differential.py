@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_synthetic as ref
-from quantrange.synthetic import KINDS, SyntheticSpec, generate, to_tick_text
+from quantrange.config import SYNTHETIC_KINDS as KINDS
+from quantrange.config import SyntheticSpec
+from quantrange.synthetic import generate, to_tick_text
 
 # exact ties of %.6f: k/128 has seven or more decimals and ends in 5
 TIES = st.integers(0, 2 ** 14).map(lambda k: k / 128) | st.integers(

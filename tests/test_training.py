@@ -3,21 +3,24 @@ import hashlib
 import numpy as np
 import pytest
 
-from quantrange.errors import NonFiniteLoss, ShapeMismatch
-from quantrange.models import training
-from quantrange.models.checkpoint import load_checkpoint, save_checkpoint
-from quantrange.models.forecast import QuantileLevels
-from quantrange.models.network import (
-    KINDS,
+from quantrange.config import MODEL_KINDS as KINDS
+from quantrange.config import (
     LinearSpec,
     MLPSpec,
     ModelSpec,
+    QuantileLevels,
+    TrainConfig,
+)
+from quantrange.errors import NonFiniteLoss, ShapeMismatch
+from quantrange.models import training
+from quantrange.models.checkpoint import load_checkpoint, save_checkpoint
+from quantrange.models.network import (
     ParameterSet,
     forward,
     init_params,
     loss_value,
 )
-from quantrange.models.training import TrainConfig, train
+from quantrange.models.training import train
 
 # the linear kind's schedule: one full batch per epoch, step lr/sqrt(1 + t)
 FULL_BATCH = {"batch_size": None, "lr_schedule": "inverse-sqrt"}
@@ -110,7 +113,7 @@ KIND_SPECS = {
 def test_every_kind_has_a_spec_here():
     assert set(KIND_SPECS) == set(KINDS)
     for kind, spec in KIND_SPECS.items():
-        assert type(spec) is KINDS[kind].spec_class
+        assert type(spec) is KINDS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_SPECS))
