@@ -12,12 +12,9 @@ from .config import IndicatorConfig, StrategyConfig
 from .errors import AlignmentError, RuinousReturn
 from .indicators import atr_percent, rsi
 from .models.forecast import QuantileForecast
-from .strategy import (
-    Trade,
-    generate_signal,    # perfbench/tracing.py still wraps this name
-    positions_from_signals,
-    signals,
-)
+from .strategy import Trade, positions_from_signals, signals
+# perfbench/tracing.py still wraps this name
+from .strategy import signals as generate_signal
 
 DRAWDOWN_COUNT_THRESHOLD = 0.001
 

@@ -17,8 +17,8 @@ from . import market_data as md
 from . import svg
 from .config import RunConfig, load_config
 from .errors import (
-    AlignmentError, ConfigError, InvalidSpec, MissingField, QuantRangeError,
-    RuinousReturn,
+    AlignmentError, ConfigError, InsufficientData, InvalidSpec, MissingField,
+    QuantRangeError, RuinousReturn, ZeroRange,
 )
 from .io_utils import atomic_write_text, atomic_writer, reading
 from .models.checkpoint import load_checkpoint, save_checkpoint
@@ -142,7 +142,13 @@ def _eval_kind(cfg: RunConfig, kind: str) -> im.MetricsReport:
     ds = md.load_dataset(wds)
     forecast = _price_forecast(spec, params, ds)
     actuals = md.invert_minmax(ds.targets, ds.norm).reshape(-1)
-    report = im.evaluate(actuals, forecast, cfg.metrics)
+    try:
+        report = im.evaluate(actuals, forecast, cfg.metrics)
+    except ZeroRange as exc:
+        raise ConfigError(
+            f"{wds}: {exc} over its {ds.num_samples} window(s) ([data] "
+            f"stride = {cfg.data.stride}, split_test = "
+            f"{cfg.data.split_test})") from None
     atomic_write_text(_out(cfg, f"metrics-{kind}.txt"), report.to_text())
     levels = forecast.levels.levels
     header = "timestamp\tactual\t" + "\t".join(f"q{lv}" for lv in levels)
@@ -158,44 +164,42 @@ def cmd_eval(cfg: RunConfig) -> None:
     print(_eval_kind(cfg, cfg.model_kind).to_text(), end="")
 
 
-def _backtest_forecast(cfg: RunConfig, kind: str) -> QuantileForecast:
-    """eval's forecast, read from forecast-<kind>.bin when that file was
-    written from the checkpoint and test.wds as they are now, else
-    computed again from them."""
+def _backtest_forecast(cfg: RunConfig,
+                       kind: str) -> tuple[QuantileForecast, np.ndarray]:
+    """eval's forecast and test.wds's target times. The forecast is read
+    from forecast-<kind>.bin when that file was written from the checkpoint
+    and test.wds as they are now, else computed again from them."""
     ckpt = _out(cfg, f"model-{kind}.ckpt")
     wds = _out(cfg, "test.wds")
     cached = _out(cfg, f"forecast-{kind}.bin")
     forecast = load_forecast(cached, (ckpt, wds))
     if forecast is not None:
         print(f"forecast: read {cached}")
-        return forecast
+        return forecast, md.load_dataset(wds).target_times
     print(f"forecast: computed from {ckpt} ({cached} is missing or stale)")
     _, spec, params = load_checkpoint(ckpt)
-    return _price_forecast(spec, params, md.load_dataset(wds))
+    ds = md.load_dataset(wds)
+    return _price_forecast(spec, params, ds), ds.target_times
 
 
 def cmd_backtest(cfg: RunConfig) -> None:
     kind = cfg.model_kind
-    repaired = repair_monotonic(_backtest_forecast(cfg, kind))
+    raw, target_times = _backtest_forecast(cfg, kind)
+    bars_tsv = _out(cfg, "bars.tsv")
     test_bars = _read_bars_tsv(cfg, "test")
-    # make_windows' target bars; the decision bar is the one before each
-    targets = np.arange(cfg.data.window_in, len(test_bars), cfg.data.stride)
-    if len(targets) != len(repaired.values):
+    # each forecast goes on the bar before the test bar that opens at its
+    # target time
+    at = np.searchsorted(test_bars.open_time, target_times)
+    placed = (at > 0) & (np.append(test_bars.open_time, np.nan)[at]
+                         == target_times)
+    if not placed.all():
         raise AlignmentError(
-            f"{_out(cfg, 'bars.tsv')}: {len(test_bars)} test bars make "
-            f"{len(targets)} windows at window_in = {cfg.data.window_in} and "
-            f"stride = {cfg.data.stride}, not the forecast's "
-            f"{len(repaired.values)} (ingest again after changing them)")
-    warm_up = max(cfg.indicators.rsi_period, cfg.indicators.atr_period)
-    too_short = len(test_bars) <= warm_up + cfg.data.window_in
-    if too_short:
-        print(f"warning: the test split has {len(test_bars)} bars, no more "
-              f"than the indicator warm-up plus window_in "
-              f"({warm_up} + {cfg.data.window_in}), so it cannot trade",
-              file=sys.stderr)
-    aligned = np.full((len(test_bars), repaired.values.shape[1]), np.nan)
-    aligned[targets - 1] = repaired.values
-    forecast = QuantileForecast(values=aligned, levels=repaired.levels)
+            f"{bars_tsv}: no test bar after the first opens at target time "
+            f"{float(target_times[~placed][0])!r} of {_out(cfg, 'test.wds')}"
+            " (ingest again)")
+    aligned = np.full((len(test_bars), len(raw.levels)), np.nan)
+    aligned[at - 1] = repair_monotonic(raw).values
+    forecast = QuantileForecast(values=aligned, levels=raw.levels)
 
     try:
         result = bt.run_backtest(
@@ -206,6 +210,11 @@ def cmd_backtest(cfg: RunConfig) -> None:
         raise ConfigError(
             f"[backtest] initial_capital = {cfg.backtest.initial_capital!r} "
             f"cannot carry one unit of the test split: {exc}") from None
+    except InsufficientData as exc:
+        raise ConfigError(
+            f"[indicators] rsi_period = {cfg.indicators.rsi_period} and "
+            f"atr_period = {cfg.indicators.atr_period} need more bars than "
+            f"the {len(test_bars)} test bars in {bars_tsv}: {exc}") from None
     atomic_write_text(_out(cfg, f"backtest-{kind}.txt"), bt.summary_text(result))
     equity = result.equity_curve.equity
     dd = result.drawdown_stats.drawdown_series
@@ -218,7 +227,7 @@ def cmd_backtest(cfg: RunConfig) -> None:
     counts = dict(zip(*np.unique(result.signals.reason, return_counts=True)))
     reasons = ", ".join(f"{counts[r]} {r}" for r in REASONS if r in counts)
     print(f"signals: {reasons}; {len(result.trades)} trades")
-    if not result.trades and not too_short:
+    if not result.trades:
         print(f"warning: the backtest made no trade (signals: {reasons})",
               file=sys.stderr)
     print(bt.summary_text(result), end="")

@@ -71,13 +71,16 @@ def cwc(picp_value: float, pinaw_value: float, config: MetricConfig) -> float:
 
     as-printed:        (1-PINAW) * exp(-eta * (PICP - (1-beta)^2))
     squared-deviation: (1-PINAW) * exp(-eta * (PICP - (1-beta))^2)
+
+    A value past float64's range (a large eta) is +-inf.
     """
     nominal = 1.0 - config.beta
     if config.cwc_variant == "as-printed":
         exponent = -config.eta * (picp_value - nominal ** 2)
     else:
         exponent = -config.eta * (picp_value - nominal) ** 2
-    return float((1.0 - pinaw_value) * np.exp(exponent))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float((1.0 - pinaw_value) * np.exp(exponent))
 
 
 def crossing_rate(raw_forecast: QuantileForecast) -> float:

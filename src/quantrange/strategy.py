@@ -12,18 +12,6 @@ import numpy as np
 from .config import IndicatorConfig
 
 
-class SignalKind(enum.Enum):
-    BUY = "Buy"
-    SELL = "Sell"
-    NONE = "None"
-
-
-@dataclass(frozen=True)
-class Signal:
-    kind: SignalKind
-    reason: str
-
-
 class Side(enum.Enum):
     FLAT = "Flat"
     LONG = "Long"
@@ -51,7 +39,6 @@ REASONS = ("no-forecast", "non-finite-input", "oversold", "atr-out-of-band",
            "rsi-neutral")
 SIGNAL_DTYPE = np.dtype([("kind", np.int8),
                          ("reason", f"U{max(map(len, REASONS))}")])
-_SIGNAL_KINDS = {1: SignalKind.BUY, -1: SignalKind.SELL, 0: SignalKind.NONE}
 
 
 def signals(price, atr_pct, lower_band, upper_band, rsi,
@@ -91,20 +78,6 @@ def signals(price, atr_pct, lower_band, upper_band, rsi,
     out.kind = np.array([*kinds, 0], dtype=np.int8)[leaf]
     out.reason = np.array([*reasons, "rsi-neutral"])[leaf]
     return out
-
-
-def generate_signal(price: float, atr_pct: float, lower_band: float,
-                    rsi: float, config: IndicatorConfig = IndicatorConfig(),
-                    upper_band: float | None = None,
-                    sell_vs_upper_band: bool = False) -> Signal:
-    """The signal of one bar (see `signals`); sell_vs_upper_band requires
-    upper_band."""
-    if sell_vs_upper_band and upper_band is None:
-        raise ValueError("sell_vs_upper_band requires upper_band")
-    band = np.nan if upper_band is None else upper_band
-    row = signals([price], [atr_pct], [lower_band], [band], [rsi], config,
-                  sell_vs_upper_band)[0]
-    return Signal(_SIGNAL_KINDS[int(row.kind)], str(row.reason))
 
 
 def positions_from_signals(

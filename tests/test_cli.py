@@ -430,13 +430,29 @@ def cut_test_bars(config, out):
     path.write_text("".join(path.read_text().splitlines(True)[:-3]))
 
 
+def cut_early_test_bars(config, out):
+    # the first target bar becomes the first test bar, with none before it
+    path = out / "bars.tsv"
+    lines = path.read_text().splitlines(True)
+    first = next(i for i, line in enumerate(lines) if line.endswith("\ttest\n"))
+    path.write_text("".join(lines[:first] + lines[first + 5:]))
+
+
 def change_stride(config, out):
     config.write_text(config.read_text().replace("stride = 2", "stride = 1"))
 
 
-# a cut bars.tsv raised a raw IndexError; a changed stride exited 0 with
-# the forecasts on the wrong bars
-@pytest.mark.parametrize("change", [cut_test_bars, change_stride])
+def backtest_artifacts(out, kind="quantile-linear"):
+    return {name: (out / name).read_bytes()
+            for name in (f"backtest-{kind}.txt", f"equity-{kind}.tsv",
+                         f"drawdown-{kind}.tsv", f"equity-{kind}.svg")}
+
+
+# a cut bars.tsv raised a raw IndexError, and now stops naming both files;
+# a stride changed after ingest exited 1, and changes nothing now that the
+# forecasts go where test.wds's target times put them
+@pytest.mark.parametrize("change", [cut_test_bars, cut_early_test_bars,
+                                    change_stride])
 def test_backtest_checks_forecast_rows_against_bars(tmp_path, capsys, change):
     config = tmp_path / "run.ini"
     config.write_text(ACCEPTANCE_CONFIG.replace(
@@ -445,13 +461,122 @@ def test_backtest_checks_forecast_rows_against_bars(tmp_path, capsys, change):
     out = tmp_path / "out"
     for command in ("synth", "ingest", "train"):
         assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    original = config.read_text()
     change(config, out)
     capsys.readouterr()
-    assert main(["backtest", "--config", str(config), "--out", str(out)]) == 1
+    code = main(["backtest", "--config", str(config), "--out", str(out)])
+    if change is change_stride:
+        assert code == 0
+        changed = backtest_artifacts(out)
+        config.write_text(original)
+        assert main(["backtest", "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert backtest_artifacts(out) == changed
+        return
+    assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'bars.tsv'}: ")
-    assert "window_in = 5 and stride = " in err
+    assert err.startswith(f"error: {out / 'bars.tsv'}: no test bar after the "
+                          "first opens at target time ")
+    assert err.endswith(f" of {out / 'test.wds'} (ingest again)\n")
     assert not (out / "backtest-quantile-linear.txt").exists()
+
+
+# 6000 ticks in 1 s bars: 3000 bars, 450 of them test bars
+LINEAR_1S_CONFIG = """\
+[run]
+seed = 11
+
+[data]
+bar_interval = 1.0
+window_in = 5
+
+[synthetic]
+length = 6000
+phi = 0.9
+
+[model]
+kind = quantile-linear
+"""
+
+
+def run_stages(config, out, *commands):
+    return [main([command, "--config", str(config), "--out", str(out)])
+            for command in commands]
+
+
+def test_window_in_changed_after_ingest_moves_no_forecast(tmp_path, capsys):
+    # backtest recomputed make_windows' targets from the config: with
+    # window_in 4 and stride 3 it made as many windows, put each forecast
+    # one bar earlier and exited 0 with other trades
+    text = LINEAR_1S_CONFIG.replace("window_in = 5\n",
+                                    "window_in = 5\nstride = 3\n") + (
+        "\n[indicators]\nrsi_period = 3\natr_period = 3\n"
+        "atr_low = 0.00001\natr_high = 1.0\n")
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run_stages(config, out, "synth", "ingest", "train",
+                      "backtest") == [0] * 4
+    assert "; 1 trades" in capsys.readouterr().out
+    before = backtest_artifacts(out)
+    config.write_text(text.replace("window_in = 5", "window_in = 4"))
+    assert run_stages(config, out, "backtest") == [0]
+    assert backtest_artifacts(out) == before
+
+
+def test_short_test_split_reaches_the_tree(tmp_path, capsys):
+    # 19 test bars, no more than the 14-bar warm-up plus window_in: backtest
+    # warned that the split "cannot trade" while 4 of its bars reached the
+    # decision tree
+    config = tmp_path / "run.ini"
+    config.write_text(LINEAR_1S_CONFIG.replace("window_in = 5\n", (
+        "window_in = 5\nsplit_val = 0.29366666667\n"
+        "split_test = 0.00633333333\n")))
+    out = tmp_path / "out"
+    assert run_stages(config, out, "synth", "ingest", "train",
+                      "backtest") == [0] * 4
+    captured = capsys.readouterr()
+    signals = next(line for line in captured.out.splitlines()
+                   if line.startswith("signals: "))
+    assert signals == ("signals: 5 no-forecast, 10 non-finite-input, "
+                       "4 rsi-neutral; 0 trades")
+    assert "cannot trade" not in captured.err
+    assert captured.err == ("warning: the backtest made no trade (signals: "
+                            "5 no-forecast, 10 non-finite-input, "
+                            "4 rsi-neutral)\n")
+
+
+def test_indicator_periods_longer_than_the_test_split(tmp_path, capsys):
+    # printed "so it cannot trade", then `error: rsi needs 100001 closes,
+    # got 450` naming neither the key nor the file
+    config = tmp_path / "run.ini"
+    config.write_text(LINEAR_1S_CONFIG
+                      + "\n[indicators]\nrsi_period = 100000\n")
+    out = tmp_path / "out"
+    assert run_stages(config, out, "synth", "ingest", "train") == [0] * 3
+    capsys.readouterr()
+    assert run_stages(config, out, "backtest") == [1]
+    assert capsys.readouterr().err == (
+        "error: [indicators] rsi_period = 100000 and atr_period = 14 need "
+        f"more bars than the 450 test bars in {out / 'bars.tsv'}: rsi needs "
+        "100001 closes, got 450\n")
+    assert not (out / "backtest-quantile-linear.txt").exists()
+
+
+def test_zero_range_test_split_names_its_cause(tmp_path, capsys):
+    # one window per split: eval gave `error: actuals have zero range;
+    # PINAW undefined`, naming neither the dataset nor the stride
+    config = tmp_path / "run.ini"
+    config.write_text(LINEAR_1S_CONFIG.replace(
+        "window_in = 5\n", "window_in = 5\nstride = 100000\n"))
+    out = tmp_path / "out"
+    assert run_stages(config, out, "synth", "ingest", "train") == [0] * 3
+    capsys.readouterr()
+    assert run_stages(config, out, "eval") == [1]
+    assert capsys.readouterr().err == (
+        f"error: {out / 'test.wds'}: actuals have zero range; PINAW "
+        "undefined over its 1 window(s) ([data] stride = 100000, "
+        "split_test = 0.15)\n")
 
 
 def test_byte_flip_sweep_raises_no_exception(c10_linear_run, tmp_path):
@@ -530,26 +655,26 @@ class TestPipeline:
         config = readme_config(tmp_path, out_dir=tmp_path / "out")
         for command in ("synth", "ingest", "train", "backtest"):
             assert main([command, "--config", config]) == 0, command
-        # no warm-up warning; the one warning is that the default indicator
-        # settings make no trade on this run
+        # the one warning is that the default indicator settings make no
+        # trade on this run
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
         assert err.startswith("warning: the backtest made no trade (signals: ")
 
     def test_warm_up_warning(self, tmp_path, capsys):
         # 6000 ticks make 100 bars, and a 15-bar test split is no longer
-        # than max(rsi_period, atr_period) + window_in = 19
+        # than max(rsi_period, atr_period) + window_in = 19: its one warning
+        # is the no-trade warning, whose counts show that no bar got past
+        # the warm-up
         config = readme_config(tmp_path, out_dir=tmp_path / "out",
                                length=6000)
         for command in ("synth", "ingest", "train"):
             assert main([command, "--config", config]) == 0, command
         capsys.readouterr()
         assert main(["backtest", "--config", config]) == 0
-        err = capsys.readouterr().err
-        assert err.count("warning:") == 1
-        assert err.startswith("warning: the test split has 15 bars, no more "
-                              "than the indicator warm-up plus window_in "
-                              "(14 + 5)")
+        assert capsys.readouterr().err == (
+            "warning: the backtest made no trade (signals: 5 no-forecast, "
+            "10 non-finite-input)\n")
         assert (tmp_path / "out" / "backtest-futurequant.txt").exists()
 
     def test_end_to_end(self, tmp_path):

@@ -79,6 +79,12 @@ class TestCwc:
         assert cwc(0.85, 0.3, cfg) < at_nominal
         assert cwc(0.95, 0.3, cfg) < at_nominal
 
+    def test_penalty_beyond_float64_is_infinite(self):
+        # [metrics] eta = 1e300 raised numpy's overflow warning in eval
+        cfg = MetricConfig(eta=1e300)
+        assert cwc(0.5, 0.93, cfg) == math.inf
+        assert cwc(0.5, 1.5, cfg) == -math.inf
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             MetricConfig(cwc_variant="exponential")

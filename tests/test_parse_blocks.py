@@ -25,6 +25,7 @@ from test_cli import SRC, write_config
 from test_parse_differential import outcome, tick_streams
 
 
+@pytest.mark.slow
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(tick_streams(), st.sampled_from([1.0, 10.0, 30.0]),

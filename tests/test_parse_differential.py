@@ -79,6 +79,7 @@ def tick_streams(draw):
     return newline.join(lines) + newline, delimiter
 
 
+@pytest.mark.slow
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(tick_streams(), st.sampled_from([1.0, 10.0, 30.0]))

@@ -16,8 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ALLOWED = {
     "cli.train_linear":
         "perfbench/tracing.py wraps it; goes with the tracer's target list",
-    "strategy.generate_signal":
-        "perfbench/tracing.py wraps it; goes with the tracer's target list",
     "indicators.shape_from_quantiles":
         "ROADMAP item 4 gives it a caller (eval's implied sigma) or moves it",
     "synthetic.oracle_forecast":

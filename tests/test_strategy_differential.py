@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_strategy as ref
 from quantrange.config import IndicatorConfig
-from quantrange.strategy import Signal, positions_from_signals, signals
+from quantrange.strategy import positions_from_signals, signals
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -69,7 +69,7 @@ def test_fold_matches_the_row_wise_fold(kinds, seed):
                                           opens, closes)
     by_units = {units: kind for kind, units in ref.KIND_UNITS.items()}
     positions, want = ref.positions_from_signals(
-        [Signal(by_units[k], "") for k in kinds], opens, closes)
+        [ref.Signal(by_units[k], "") for k in kinds], opens, closes)
     assert held.dtype == np.int8
     assert held.tolist() == [ref.UNITS[p.side] for p in positions]
     assert trades == want
