@@ -12,7 +12,7 @@ from .config import IndicatorConfig, StrategyConfig
 from .errors import AlignmentError, RuinousReturn
 from .indicators import atr_percent, rsi
 from .models.forecast import QuantileForecast
-from .strategy import Trade, positions_from_signals, signals
+from .strategy import positions_from_signals, signals
 # perfbench/tracing.py still wraps this name
 from .strategy import signals as generate_signal
 
@@ -23,10 +23,6 @@ DRAWDOWN_COUNT_THRESHOLD = 0.001
 class EquityCurve:
     equity: np.ndarray    # per-bar equity, equity[0] = initial capital
     returns: np.ndarray   # per-bar fractional returns, returns[0] = 0
-
-    @property
-    def initial(self) -> float:
-        return float(self.equity[0])
 
     @property
     def final(self) -> float:
@@ -105,7 +101,7 @@ def equity_from_positions(
 class BacktestResult:
     equity_curve: EquityCurve
     drawdown_stats: DrawdownStats
-    trades: list[Trade]
+    trades: np.recarray       # strategy.TRADE_DTYPE, one row per trade
     held: np.ndarray          # units held during each bar
     signals: np.recarray      # per-bar `kind` and `reason` (strategy.signals)
     summary: dict[str, float] = field(default_factory=dict)

@@ -17,8 +17,8 @@ from . import market_data as md
 from . import svg
 from .config import RunConfig, load_config
 from .errors import (
-    AlignmentError, ConfigError, InsufficientData, InvalidSpec, MissingField,
-    QuantRangeError, RuinousReturn, ZeroRange,
+    AlignmentError, ConfigError, EmptyInput, InsufficientData, InvalidSpec,
+    MissingField, QuantRangeError, RuinousReturn, ZeroRange,
 )
 from .io_utils import atomic_write_text, atomic_writer, reading
 from .models.checkpoint import load_checkpoint, save_checkpoint
@@ -66,6 +66,10 @@ def cmd_ingest(cfg: RunConfig) -> None:
         except MissingField as exc:
             raise MissingField(f"{source}: {exc} (header split on [data] "
                                f"delimiter = {cfg.data.delimiter!r})") from None
+        except EmptyInput:
+            raise EmptyInput(f"{source}: no tick row was kept (the file has "
+                             "none after its header, or each has a zero "
+                             "BidPrice1 or AskPrice1)") from None
         except UnicodeDecodeError:
             raise               # reading() names the file
         except ValueError as exc:
@@ -227,7 +231,7 @@ def cmd_backtest(cfg: RunConfig) -> None:
     counts = dict(zip(*np.unique(result.signals.reason, return_counts=True)))
     reasons = ", ".join(f"{counts[r]} {r}" for r in REASONS if r in counts)
     print(f"signals: {reasons}; {len(result.trades)} trades")
-    if not result.trades:
+    if not len(result.trades):
         print(f"warning: the backtest made no trade (signals: {reasons})",
               file=sys.stderr)
     print(bt.summary_text(result), end="")
@@ -267,7 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=args.out)
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:  # a file at the path, or at a parent's
+            where = "--out" if args.out else "[run] out_dir ="
+            raise ConfigError(f"{where} {cfg.out_dir}: cannot make the "
+                              f"output directory ({exc.strerror})") from None
         COMMANDS[args.command](cfg)
         sys.stdout.flush()
     except QuantRangeError as exc:

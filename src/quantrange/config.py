@@ -5,9 +5,9 @@ Each section's keys are the fields of its dataclass, read by the fields'
 annotations. A field declares the values it allows beside its default
 (`allow`), and `Section.__post_init__` checks every declaration the same
 way; a class writes out only what a range or a list of choices cannot
-say, its rules across fields and a non-empty delimiter. Unknown sections
-or keys are hard errors so experiment-config typos fail fast instead of
-silently falling back to defaults.
+say, its rules across fields and the delimiter's rules (not empty; `\\t`
+is a tab). Unknown sections or keys are hard errors so experiment-config
+typos fail fast instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ class StrategyConfig(Section):
 @dataclass(frozen=True)
 class DataConfig(Section):
     source: str = "synthetic"      # "synthetic" (synth's ticks.csv) or a path
-    delimiter: str = ","
+    delimiter: str = ","          # the two characters \t spell a tab
     bar_interval: float = allow("> 0", 30.0)     # seconds
     split_train: float = allow("[0, 1]", 0.7)
     split_val: float = allow("[0, 1]", 0.15)
@@ -242,11 +242,13 @@ class DataConfig(Section):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.delimiter == "\\t":  # configparser strips a literal tab
+            object.__setattr__(self, "delimiter", "\t")
         splits = self.split_train + self.split_val + self.split_test
         if abs(splits - 1.0) > 1e-9:
             raise InvalidSpec(f"split fractions sum to {splits}, expected 1")
         if not self.delimiter:
-            raise InvalidSpec("delimiter is empty")
+            raise InvalidSpec("delimiter is empty (write \\t for a tab)")
 
 
 @dataclass(frozen=True)

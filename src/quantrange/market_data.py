@@ -216,6 +216,8 @@ def _parse_block(text: str, delimiter: str,
         if not text:
             raise MissingField("stream is empty; header row required")
         header_line, _, text = text.partition("\n")
+        # a byte-order mark, as Excel and Windows exports write, is no field
+        header_line = header_line.removeprefix("\ufeff")
         header = [h.strip() for h in header_line.split(delimiter)]
         for name in TICK_FIELDS:
             if name not in header:
@@ -252,7 +254,8 @@ def parse_ticks(
 ) -> ParseResult:
     """Parse delimiter-separated tick rows into a TICK_DTYPE record array.
 
-    The first row must be a header naming all eight tick fields (any order).
+    The first row must be a header naming all eight tick fields (any
+    order), after a UTF-8 byte-order mark if there is one.
     Rows with a zero BidPrice1 or AskPrice1 are dropped and counted; any
     other violation, such as a non-finite time or price, raises with the
     offending line number. The text is read PARSE_BLOCK characters at a

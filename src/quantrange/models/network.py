@@ -44,9 +44,6 @@ class ParameterSet:
             offset += a.size
         self.arrays = MappingProxyType(views)
 
-    def copy(self) -> "ParameterSet":
-        return ParameterSet(self.arrays)
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 

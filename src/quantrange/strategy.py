@@ -4,33 +4,9 @@ trade log."""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import IndicatorConfig
-
-
-class Side(enum.Enum):
-    FLAT = "Flat"
-    LONG = "Long"
-    SHORT = "Short"
-
-
-@dataclass(frozen=True)
-class Trade:
-    side: Side
-    entry_index: int
-    exit_index: int
-    entry_price: float
-    exit_price: float
-
-    @property
-    def pnl(self) -> float:
-        direction = 1.0 if self.side is Side.LONG else -1.0
-        return direction * (self.exit_price - self.entry_price)
-
 
 # every reason a bar's signal can carry: "no-forecast" (set by the backtest
 # where a bar has no forecast), then the tree's leaves in printed order
@@ -39,6 +15,10 @@ REASONS = ("no-forecast", "non-finite-input", "oversold", "atr-out-of-band",
            "rsi-neutral")
 SIGNAL_DTYPE = np.dtype([("kind", np.int8),
                          ("reason", f"U{max(map(len, REASONS))}")])
+# one trade: `side` +1 long or -1 short, in the units of `held`
+TRADE_DTYPE = np.dtype([("side", np.int8), ("entry_index", np.int64),
+                        ("exit_index", np.int64), ("entry_price", "f8"),
+                        ("exit_price", "f8")])
 
 
 def signals(price, atr_pct, lower_band, upper_band, rsi,
@@ -81,11 +61,12 @@ def signals(price, atr_pct, lower_band, upper_band, rsi,
 
 
 def positions_from_signals(
-        kinds, opens, closes) -> tuple[np.ndarray, list[Trade]]:
+        kinds, opens, closes) -> tuple[np.ndarray, np.recarray]:
     """Fold per-bar signal kinds into the units held during each bar (one
-    unit, no pyramiding) and the trade log. A signal at bar i fills at bar
-    i+1's open; an opposite signal closes then reverses; an open position
-    force-closes at the final bar's close.
+    unit, no pyramiding) and the trade log, a TRADE_DTYPE record array in
+    entry order. A signal at bar i fills at bar i+1's open; an opposite
+    signal closes then reverses; an open position force-closes at the
+    final bar's close.
 
     held[i] is the last non-zero kind before bar i (0 until the first).
     """
@@ -100,10 +81,14 @@ def positions_from_signals(
     last = np.maximum.accumulate(np.where(before != 0, np.arange(n), 0))
     held = before[last]
     # every change opens a position; the next change, or the end, closes it
+    # (the [-1:] slices are empty when there is no trade)
     starts = np.flatnonzero(np.diff(held, prepend=0))
-    ends = np.append(starts[1:], n - 1)
-    exits = np.append(opens[starts[1:]], closes[-1:])
-    trades = [Trade(Side.LONG if held[s] > 0 else Side.SHORT, int(s), int(e),
-                    float(opens[s]), float(x))
-              for s, e, x in zip(starts, ends, exits)]
+    trades = np.recarray(len(starts), TRADE_DTYPE)
+    trades.side = held[starts]
+    trades.entry_index = starts
+    trades.entry_price = opens[starts]
+    trades.exit_index[:-1] = starts[1:]
+    trades.exit_index[-1:] = n - 1
+    trades.exit_price[:-1] = opens[starts[1:]]
+    trades.exit_price[-1:] = closes[-1:]
     return held, trades

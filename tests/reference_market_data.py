@@ -67,6 +67,7 @@ def parse_ticks(stream, delimiter: str = ","):
         _, header_line = next(lines)
     except StopIteration:
         raise MissingField("stream is empty; header row required")
+    header_line = header_line.removeprefix("\ufeff")
     header = [h.strip() for h in header_line.rstrip("\n").split(delimiter)]
     for name in TICK_FIELDS:
         if name not in header:

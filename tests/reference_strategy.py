@@ -4,11 +4,14 @@ differential tests.
 This is the per-bar implementation `quantrange.strategy` used before the
 tree became one table of masks and positions one unit array: one `Signal`
 per bar from nested ifs, folded bar by bar into one `PositionState` per
-bar. Its forced close fills at the final bar's close, as the equity curve
-does, and its finiteness check covers the band the sell branch compares.
-The tests compare the columnar code with it value for value; nothing in
-the package imports it. `bar_signal` runs the package's own tree on one
-bar and returns the same `Signal`, for tests that read one bar at a time.
+bar, whose side is in units (+1 long, -1 short, 0 flat), and one tuple
+(side, entry_index, exit_index, entry_price, exit_price) per trade, the
+fields of `quantrange.strategy.TRADE_DTYPE`. Its forced close fills at
+the final bar's close, as the equity curve does, and its finiteness check
+covers the band the sell branch compares. The tests compare the columnar
+code with it value for value; nothing in the package imports it.
+`bar_signal` runs the package's own tree on one bar and returns the same
+`Signal`, for tests that read one bar at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from quantrange.config import IndicatorConfig
-from quantrange.strategy import Side, Trade, signals
+from quantrange.strategy import signals
 
 
 class SignalKind(enum.Enum):
@@ -33,7 +36,6 @@ class Signal:
     reason: str
 
 
-UNITS = {Side.FLAT: 0, Side.LONG: 1, Side.SHORT: -1}
 KIND_UNITS = {SignalKind.BUY: 1, SignalKind.SELL: -1, SignalKind.NONE: 0}
 
 
@@ -54,13 +56,13 @@ def bar_signal(price: float, atr_pct: float, lower_band: float, rsi: float,
 
 @dataclass(frozen=True)
 class PositionState:
-    side: Side
+    side: int                    # units held: +1 long, -1 short, 0 flat
     entry_price: float | None = None
     entry_index: int | None = None
 
     def __post_init__(self):
         has_entry = self.entry_price is not None and self.entry_index is not None
-        if (self.side is Side.FLAT) == has_entry:
+        if (self.side == 0) == has_entry:
             raise ValueError("entry fields present iff side is not Flat")
 
 
@@ -101,31 +103,27 @@ def positions_from_signals(
     signals: list[Signal],
     opens: list[float],
     closes: list[float],
-) -> tuple[list[PositionState], list[Trade]]:
+) -> tuple[list[PositionState], list[tuple]]:
     """Fold signals into a per-bar position sequence (one unit, no
-    pyramiding). A signal at bar i fills at bar i+1's open; an opposite
-    signal closes then reverses; the final bar force-closes at its close.
+    pyramiding) and the trade tuples. A signal at bar i fills at bar i+1's
+    open; an opposite signal closes then reverses; the final bar
+    force-closes at its close.
     """
     n = len(signals)
     if not n == len(opens) == len(closes):
         raise ValueError(f"{n} signals vs {len(opens)} opens")
     positions: list[PositionState] = []
-    trades: list[Trade] = []
-    state = PositionState(Side.FLAT)
+    trades: list[tuple] = []
+    state = PositionState(0)
     for i in range(n):
-        desired = signals[i - 1].kind if i > 0 else SignalKind.NONE
-        if desired is SignalKind.BUY and state.side is not Side.LONG:
-            if state.side is Side.SHORT:
-                trades.append(Trade(state.side, state.entry_index, i,
-                                    state.entry_price, opens[i]))
-            state = PositionState(Side.LONG, opens[i], i)
-        elif desired is SignalKind.SELL and state.side is not Side.SHORT:
-            if state.side is Side.LONG:
-                trades.append(Trade(state.side, state.entry_index, i,
-                                    state.entry_price, opens[i]))
-            state = PositionState(Side.SHORT, opens[i], i)
+        desired = KIND_UNITS[signals[i - 1].kind] if i > 0 else 0
+        if desired != 0 and state.side != desired:
+            if state.side != 0:
+                trades.append((state.side, state.entry_index, i,
+                               state.entry_price, opens[i]))
+            state = PositionState(desired, opens[i], i)
         positions.append(state)
-    if state.side is not Side.FLAT:
-        trades.append(Trade(state.side, state.entry_index, n - 1,
-                            state.entry_price, closes[n - 1]))
+    if state.side != 0:
+        trades.append((state.side, state.entry_index, n - 1,
+                       state.entry_price, closes[n - 1]))
     return positions, trades

@@ -13,7 +13,6 @@ from quantrange.config import IndicatorConfig, QuantileLevels, StrategyConfig
 from quantrange.errors import AlignmentError, RuinousReturn
 from quantrange.market_data import BAR_DTYPE
 from quantrange.models.forecast import QuantileForecast
-from quantrange.strategy import Side
 from reference_backtest import scenario_test
 from test_acceptance import ACCEPTANCE_CONFIG
 from test_golden import BACKTEST_INDICATORS
@@ -85,7 +84,7 @@ class TestEquityFromPositions:
         ])
         curve = equity_from_positions(bars, np.array([0, 1, 1], np.int8), 100.0)
         assert list(curve.equity) == [100.0, 100.0, 101.0, 102.0]
-        assert curve.final / curve.initial - 1.0 == pytest.approx(0.02)
+        assert curve.final / curve.equity[0] - 1.0 == pytest.approx(0.02)
 
     def test_short_gains_when_price_falls(self):
         bars = bar_array([bar(0, 100, 100, 99, 100),
@@ -154,7 +153,7 @@ class TestRunBacktest:
         result = run_backtest(bars, forecast,
                               IndicatorConfig(atr_low=0.001, atr_high=0.5))
         assert result.summary["num_trades"] >= 1
-        assert result.trades[0].side is Side.LONG
+        assert result.trades.side[0] == 1     # long
         # a long into a steady decline loses money
         assert result.summary["cumulative_return"] < 0.0
         assert result.summary["final_equity"] < 1_000_000.0
@@ -181,7 +180,8 @@ class TestRunBacktest:
 def assert_trades_add_up(result, initial_capital, transaction_cost):
     # every trade pays the cost twice: on its entry fill and its exit fill
     trades = result.trades
-    expected = (initial_capital + sum(t.pnl for t in trades)
+    pnl = trades.side * (trades.exit_price - trades.entry_price)
+    expected = (initial_capital + pnl.sum()
                 - 2 * transaction_cost * len(trades))
     assert result.summary["final_equity"] == pytest.approx(expected, rel=1e-9)
 
@@ -195,7 +195,7 @@ class TestTradeLogMatchesEquity:
                               IndicatorConfig(atr_low=0.001, atr_high=0.5),
                               StrategyConfig(transaction_cost=0.25))
         assert result.held[-1] != 0 and len(result.trades) >= 1
-        assert result.trades[-1].exit_price == bars.close[-1]
+        assert result.trades.exit_price[-1] == bars.close[-1]
         assert_trades_add_up(result, 1_000_000.0, 0.25)
 
     def test_golden_trading_backtests(self, tmp_path, monkeypatch):

@@ -579,6 +579,64 @@ def test_zero_range_test_split_names_its_cause(tmp_path, capsys):
         "split_test = 0.15)\n")
 
 
+# ticks.csv with a byte-order mark gave `error: ...: header lacks required
+# field 'UpdateTime'`; a tab could not be written as [data] delimiter
+@pytest.mark.parametrize("rewrite, delimiter", [
+    (lambda text: "\ufeff" + text, ","),
+    (lambda text: text.replace(",", "\t"), r"\t"),
+], ids=["bom", "tab"])
+def test_tick_file_variants_ingest_to_the_same_bars(c10_linear_run, tmp_path,
+                                                    rewrite, delimiter):
+    config, ingested = c10_linear_run
+    source = tmp_path / "ticks.csv"
+    source.write_text(rewrite((ingested / "ticks.csv").read_text()),
+                      encoding="utf-8")
+    text = Path(config).read_text().replace(
+        "source = synthetic\n",
+        f"source = {source}\ndelimiter = {delimiter}\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", write_config(tmp_path, text),
+                 "--out", str(out)]) == 0
+    for name in ("bars.tsv", "train.wds", "val.wds", "test.wds"):
+        assert (out / name).read_bytes() == (ingested / name).read_bytes()
+
+
+# a header-only file, or one whose every row has a zero bid or ask, gave
+# `error: no ticks to resample`, naming neither the file nor the cause
+@pytest.mark.parametrize("rows", [[], ["09:00:00,0,100.0,1,0,1,100.5,1",
+                                       "09:00:01,0,100.0,2,99.5,1,0.0,1"]])
+def test_tick_file_with_no_kept_row_names_it(tmp_path, capsys, rows):
+    source = tmp_path / "ticks.csv"
+    source.write_text("\n".join(
+        ["UpdateTime,UpdateMillisec,LastPrice,Volume,BidPrice1,BidVolume1,"
+         "AskPrice1,AskVolume1", *rows]) + "\n")
+    config = write_config(tmp_path, f"[data]\nsource = {source}\n")
+    assert main(["ingest", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {source}: no tick row was kept (the file has none after its "
+        "header, or each has a zero BidPrice1 or AskPrice1)\n")
+
+
+# os.makedirs raised FileExistsError and NotADirectoryError
+@pytest.mark.parametrize("args, out_dir, named, cause", [
+    (["--out", "{tmp}/afile"], "out", "--out {tmp}/afile", "File exists"),
+    ([], "{tmp}/afile/sub", "[run] out_dir = {tmp}/afile/sub",
+     "Not a directory"),
+])
+def test_output_directory_that_is_a_file_names_it(tmp_path, capsys, args,
+                                                   out_dir, named, cause):
+    tmp = str(tmp_path)
+    (tmp_path / "afile").write_text("")
+    config = write_config(tmp_path, f"[run]\nout_dir = {out_dir}\n".format(
+        tmp=tmp))
+    assert main(["synth", "--config", config,
+                 *[arg.format(tmp=tmp) for arg in args]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {named.format(tmp=tmp)}: cannot make the output directory "
+        f"({cause})\n")
+
+
 def test_byte_flip_sweep_raises_no_exception(c10_linear_run, tmp_path):
     # every checkpoint byte and the .wds header set to 0 and to 255; a
     # flipped exponent byte gives values near 1e300, so overflow is allowed

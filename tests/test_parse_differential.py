@@ -35,8 +35,9 @@ def tick_streams(draw):
     clock = draw(st.sampled_from(["hms", "hms", "short-hms", "seconds",
                                   "mixed"]))
     newline = draw(st.sampled_from(["\n"] * 5 + ["\r\n"]))
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))   # Excel's exports
     second, volume = 9 * 3600, 0
-    lines = [delimiter.join(header)]
+    lines = [bom + delimiter.join(header)]
     for _ in range(draw(st.integers(0, 40))):
         if draw(st.integers(0, 9)) == 0:
             lines.append("")                                  # blank line

@@ -1,9 +1,13 @@
-"""Every public module-level name in `src/` must be used by `src/`.
+"""Every public module-level name in `src/`, and every public method and
+property of a module-level class there, must be used by `src/`.
 
-A function, class or constant that only the tests call belongs in
-`tests/`. A name counts as used when some module loads it, as a name or
-as an attribute, outside its own definition; importing it, re-exporting
-it from an `__init__` and listing it in `__all__` do not count.
+A function, class, constant, method or property that only the tests call
+belongs in `tests/`. A module-level name counts as used when some module
+loads it, as a name or as an attribute, outside its own definition;
+importing it, re-exporting it from an `__init__` and listing it in
+`__all__` do not count. A method or property counts as used when some
+module loads it as an attribute outside its own definition. Dunder
+methods are called by the language, not by name, and are not checked.
 """
 
 import ast
@@ -37,13 +41,25 @@ def _definitions(tree):
                     yield target.id, node
 
 
-def _loads(node):
-    """Names loaded under node, as names or attributes."""
+def _methods(tree):
+    """(qualified name, name, node) for each public method and property of
+    each class at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _loads(node, attributes_only=False):
+    """Names loaded under node, as attributes, and as names too unless
+    attributes_only."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-        and isinstance(sub.ctx, ast.Load))
+        if isinstance(sub, kinds) and isinstance(sub.ctx, ast.Load))
 
 
 def _is_all(node):
@@ -58,6 +74,8 @@ def unused_public_names():
     loads = {node: _loads(node) for tree in trees.values()
              for node in tree.body if not _is_all(node)}
     total = sum(loads.values(), Counter())
+    attributes = sum((_loads(tree, attributes_only=True)
+                      for tree in trees.values()), Counter())
     unused = []
     for path, tree in trees.items():
         if path.name == "__init__.py":      # re-exports only
@@ -66,6 +84,10 @@ def unused_public_names():
             inside = loads[definition][name]
             if not name.startswith("_") and total[name] == inside:
                 unused.append(f"{path.stem}.{name}")
+        for qualified, name, definition in _methods(tree):
+            inside = _loads(definition, attributes_only=True)[name]
+            if attributes[name] == inside:
+                unused.append(f"{path.stem}.{qualified}")
     return unused
 
 

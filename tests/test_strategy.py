@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from quantrange.config import IndicatorConfig, StrategyConfig
-from quantrange.strategy import REASONS, Side, positions_from_signals, signals
+from quantrange.strategy import (
+    REASONS, TRADE_DTYPE, positions_from_signals, signals,
+)
 from reference_strategy import Signal, SignalKind, bar_signal
 
 
@@ -90,55 +92,56 @@ def fold(kinds, opens, closes=None):
                                   opens if closes is None else closes)
 
 
+def pnl(trades):
+    """Each trade's gain per unit: exit minus entry price, signed by side."""
+    return trades.side * (trades.exit_price - trades.entry_price)
+
+
 class TestPositionsFromSignals:
     def test_buy_fills_next_bar(self):
         held, trades = fold([B, N, N], [10.0, 11.0, 12.0])
         assert held.tolist() == [0, 1, 1]
         assert held.dtype == np.int8
-        assert trades[0].entry_price == 11.0
-        assert len(trades) == 1
-        assert trades[0].pnl == pytest.approx(1.0)  # 12 - 11
+        assert trades.dtype == TRADE_DTYPE
+        assert trades.entry_price.tolist() == [11.0]
+        assert pnl(trades).tolist() == pytest.approx([1.0])  # 12 - 11
 
     def test_no_pyramiding(self):
         held, trades = fold([B, B, B, N], [10.0, 11.0, 12.0, 13.0])
         assert held.tolist() == [0, 1, 1, 1]
-        assert len(trades) == 1
-        assert trades[0].entry_price == 11.0
+        assert trades.entry_price.tolist() == [11.0]
 
     def test_reversal_closes_then_opens(self):
         held, trades = fold([B, S, N], [10.0, 11.0, 12.0])
         assert held.tolist() == [0, 1, -1]
-        assert len(trades) == 2
-        long_trade, short_trade = trades
-        assert long_trade.side is Side.LONG
-        assert long_trade.pnl == pytest.approx(1.0)   # 11 -> 12
-        assert short_trade.side is Side.SHORT
-        assert short_trade.entry_price == 12.0
+        assert trades.side.tolist() == [1, -1]
+        assert pnl(trades)[0] == pytest.approx(1.0)   # 11 -> 12
+        assert trades.entry_price[1] == 12.0
 
     def test_short_pnl_sign(self):
         _, trades = fold([S, N, N], [10.0, 11.0, 9.0])
-        assert trades[0].side is Side.SHORT
-        assert trades[0].pnl == pytest.approx(2.0)  # sold 11, covered 9
+        assert trades.side.tolist() == [-1]
+        assert pnl(trades).tolist() == pytest.approx([2.0])  # sold 11, covered 9
 
     def test_all_none_stays_flat(self):
         held, trades = fold([N, N, N], [1.0, 2.0, 3.0])
         assert held.tolist() == [0, 0, 0]
-        assert trades == []
+        assert len(trades) == 0
 
     def test_signal_on_final_bar_never_fills(self):
         held, trades = fold([N, B], [1.0, 2.0])
         assert held.tolist() == [0, 0]
-        assert trades == []
+        assert len(trades) == 0
 
     def test_forced_close_fills_at_final_close(self):
         # opens 10, 11, 12; the final bar closes at 12.5, as equity marks it
         held, trades = fold([B, N, N], [10.0, 11.0, 12.0], [10.5, 11.5, 12.5])
         assert held.tolist() == [0, 1, 1]
-        assert (trades[0].exit_index, trades[0].exit_price) == (2, 12.5)
+        assert trades[["exit_index", "exit_price"]].tolist() == [(2, 12.5)]
 
     def test_no_bars(self):
         held, trades = fold([], [])
-        assert held.tolist() == [] and trades == []
+        assert held.tolist() == [] and len(trades) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_strategy as ref
 from quantrange.config import IndicatorConfig
-from quantrange.strategy import positions_from_signals, signals
+from quantrange.strategy import TRADE_DTYPE, positions_from_signals, signals
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -71,5 +71,6 @@ def test_fold_matches_the_row_wise_fold(kinds, seed):
     positions, want = ref.positions_from_signals(
         [ref.Signal(by_units[k], "") for k in kinds], opens, closes)
     assert held.dtype == np.int8
-    assert held.tolist() == [ref.UNITS[p.side] for p in positions]
-    assert trades == want
+    assert held.tolist() == [p.side for p in positions]
+    assert trades.dtype == TRADE_DTYPE
+    assert trades.tolist() == want

@@ -215,7 +215,7 @@ class TestParameterSet:
 
     def test_copy_is_independent(self):
         params = self.params()
-        twin = params.copy()
+        twin = ParameterSet(params.arrays)
         assert np.array_equal(twin.flat, params.flat)
         twin.flat += 1.0
         assert not np.shares_memory(twin.flat, params.flat)
@@ -237,6 +237,6 @@ class TestParameterSet:
         params = self.params()
         assert params.all_finite()
         for name in params.arrays:
-            broken = params.copy()
+            broken = ParameterSet(params.arrays)
             broken[name].flat[-1] = np.nan
             assert not broken.all_finite(), name
