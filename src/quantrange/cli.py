@@ -29,6 +29,7 @@ from .models.network import KINDS, forward
 from .models.training import train
 from .strategy import REASONS
 from .synthetic import generate, to_tick_text
+from .text import digits, join, repr_field
 
 train_linear = train    # perfbench/tracing.py still wraps this name
 
@@ -93,15 +94,17 @@ def cmd_ingest(cfg: RunConfig) -> None:
         ds = md.make_windows(split, norm, cfg.data.window_in, cfg.data.stride)
         md.save_dataset(ds, _out(cfg, f"{name}.wds"))
         print(f"wrote {_out(cfg, name + '.wds')} ({ds.num_samples} samples)")
-    # 1024 rows at a time: a whole table of Python floats and strings would
-    # set this stage's peak memory
+    # byte tables of 65536 rows, as ticks.csv is written; volume_delta is
+    # clamped at 0, so its digits need no sign
     with atomic_writer(_out(cfg, "bars.tsv")) as fh:
         fh.write(b"open_time\topen\thigh\tlow\tclose\tvolume_delta\tsplit\n")
         for name, split in names.items():
-            for start in range(0, len(split), 1024):
-                rows = split[start:start + 1024].tolist()
-                fh.write("".join("\t".join(map(repr, row)) + f"\t{name}\n"
-                                 for row in rows).encode("utf-8"))
+            for start in range(0, len(split), 65536):
+                rows = split[start:start + 65536]
+                cells = [c for col in md.BAR_DTYPE.names[:-1]
+                         for c in (repr_field(rows[col]), b"\t")]
+                fh.write(join([*cells, digits(rows.volume_delta, 1),
+                               f"\t{name}\n".encode()], len(rows)))
 
 
 def _read_bars_tsv(cfg: RunConfig, split: str) -> np.recarray:

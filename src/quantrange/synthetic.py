@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .config import SyntheticSpec
+from .text import digits, fixed6_field, join
 
 
 def _sigma(spec: SyntheticSpec, x: float) -> float:
@@ -67,36 +68,6 @@ def oracle_forecast(prices: np.ndarray, oracle, levels) -> np.ndarray:
     return out
 
 
-def _digits(v: np.ndarray, keep: int) -> np.ndarray:
-    """The ASCII digits of int64 values v >= 0, one row each; the leading
-    zeros before the last `keep` digits are 0 bytes."""
-    width = max(keep, len(str(v.max())))
-    out, rest = np.empty((len(v), width), np.uint8), v
-    for j in range(width - 1, -1, -1):
-        rest, out[:, j] = np.divmod(rest, 10)
-    out += 48
-    out[:, :-keep] *= v[:, None] >= 10 ** np.arange(width - 1, keep - 1, -1)
-    return out
-
-
-def _price_field(x: np.ndarray) -> np.ndarray:
-    """`"%.6f" % v` for each v in x, one 0-padded row each. rint(v * 1e6)
-    rounds as %.6f does if v has no sign bit, v * 1e6 < 2**52 and it is over
-    a spacing (twice its rounding error) from a half-integer; else "%.6f"."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = x * 1e6
-        fast = (~np.signbit(x) & (y < 2.0**52)
-                & (np.abs(y - np.floor(y) - 0.5) > np.spacing(y)))
-    field = _digits(np.rint(np.where(fast, y, 0.0)).astype(np.int64), 7)
-    field = np.insert(field, field.shape[1] - 6, ord("."), axis=1)
-    slow = np.flatnonzero(~fast)
-    text = np.array(["%.6f" % v for v in x[slow].tolist()], dtype=bytes)
-    width = max(field.shape[1], text.itemsize)
-    field = np.pad(field, ((0, 0), (width - field.shape[1], 0)))
-    field[slow] = text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
-    return field
-
-
 def to_tick_text(prices: np.ndarray) -> str:
     """Render a price path in the tick text format so the whole ingestion
     pipeline runs unchanged on synthetic input. Tick i is at 09:00:00 + i/2 s
@@ -108,11 +79,9 @@ def to_tick_text(prices: np.ndarray) -> str:
         p = prices[start:start + 65536]
         i = np.arange(start, start + len(p))
         t = 9 * 3600 + i // 2
-        cells = [_digits(t // 3600, 2), b":", _digits(t % 3600 // 60, 2), b":",
-                 _digits(t % 60, 2), b",", _digits(500 * (i % 2), 1), b",",
-                 _price_field(p), b",", _digits(i + 1, 1), b",",
-                 _price_field(p - 0.5), b",1,", _price_field(p + 0.5), b",1\n"]
-        table = np.hstack([np.tile(np.frombuffer(c, np.uint8), (len(p), 1))
-                           if isinstance(c, bytes) else c for c in cells])
-        blocks.append(table[table != 0].tobytes().decode("ascii"))
+        cells = [digits(t // 3600, 2), b":", digits(t % 3600 // 60, 2), b":",
+                 digits(t % 60, 2), b",", digits(500 * (i % 2), 1), b",",
+                 fixed6_field(p), b",", digits(i + 1, 1), b",",
+                 fixed6_field(p - 0.5), b",1,", fixed6_field(p + 0.5), b",1\n"]
+        blocks.append(join(cells, len(p)).decode("ascii"))
     return "".join(blocks)

@@ -4,6 +4,7 @@ This is the per-row implementation `quantrange.market_data` used before
 ticks and bars became numpy record arrays: one frozen `TickRecord` per
 row and one `Bar` per interval. The tests compare the columnar code with
 it value for value, and error for error; nothing in the package imports it.
+`bars_tsv` is the per-row writer `ingest` used before its byte tables.
 """
 
 from __future__ import annotations
@@ -161,3 +162,16 @@ def tick_array(records: Sequence[TickRecord]) -> np.ndarray:
 
 def bar_array(bars: Sequence[Bar]) -> np.ndarray:
     return np.array([astuple(b) for b in bars], dtype=BAR_DTYPE)
+
+
+def bars_tsv(splits: dict) -> bytes:
+    """`bars.tsv` for {split name: BAR_DTYPE bars} as `ingest` wrote it
+    before its byte tables: each row's values joined in repr form, 1024
+    rows at a time."""
+    out = [b"open_time\topen\thigh\tlow\tclose\tvolume_delta\tsplit\n"]
+    for name, split in splits.items():
+        for start in range(0, len(split), 1024):
+            rows = split[start:start + 1024].tolist()
+            out.append("".join("\t".join(map(repr, row)) + f"\t{name}\n"
+                               for row in rows).encode("utf-8"))
+    return b"".join(out)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_market_data as ref
 from quantrange import synthetic
 from quantrange.cli import main
 from quantrange.config import MODEL_KINDS as KINDS
@@ -599,6 +600,34 @@ def test_tick_file_variants_ingest_to_the_same_bars(c10_linear_run, tmp_path,
                  "--out", str(out)]) == 0
     for name in ("bars.tsv", "train.wds", "val.wds", "test.wds"):
         assert (out / name).read_bytes() == (ingested / name).read_bytes()
+
+
+def test_bars_tsv_rows_off_the_fast_path_match_the_row_writer(tmp_path):
+    """bars.tsv is byte-equal to the per-row repr writer where the fast path
+    does not hold: nine-decimal prices, and epoch open times that cross
+    2**33 s, past which a spacing of a double exceeds 1e-6."""
+    lines = ["UpdateTime,UpdateMillisec,LastPrice,Volume,BidPrice1,"
+             "BidVolume1,AskPrice1,AskVolume1"]
+    for i in range(100):
+        price = 100 + i % 7 * 0.25 + i % 2 * 1.23e-7
+        lines.append(f"{2 ** 33 - 50 + i}.00003,0,{price:.9f},{i // 3 + 1},"
+                     f"{price - 0.5:.9f},1,{price + 0.5:.9f},1")
+    source = tmp_path / "ticks.csv"
+    source.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path,
+                          f"[data]\nsource = {source}\nbar_interval = 1.0\n")
+    assert main(["ingest", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 0
+    with open(source, encoding="utf-8") as fh:
+        bars = ref.bar_array(ref.resample(ref.parse_ticks(fh)[0], 1.0))
+    assert (bars["open_time"] < 2 ** 33).any()
+    assert (bars["open_time"] > 2 ** 33).any()
+    assert (bars["close"] != bars["close"].round(6)).any()
+    assert (bars["close"] == bars["close"].round(6)).any()
+    n_train, n_val = int(len(bars) * 0.7), int(len(bars) * 0.15)
+    splits = {"train": bars[:n_train], "val": bars[n_train:n_train + n_val],
+              "test": bars[n_train + n_val:]}
+    assert (tmp_path / "out" / "bars.tsv").read_bytes() == ref.bars_tsv(splits)
 
 
 # a header-only file, or one whose every row has a zero bid or ask, gave

@@ -31,7 +31,8 @@ def test_package_import_loads_no_module():
 
 
 @pytest.mark.parametrize("module", [
-    "quantrange.errors", "quantrange.synthetic", "quantrange.market_data"])
+    "quantrange.errors", "quantrange.synthetic", "quantrange.market_data",
+    "quantrange.text"])
 def test_leaf_module_loads_no_model_module(module):
     loaded = loaded_package_modules(module)
     assert module in loaded
