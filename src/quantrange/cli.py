@@ -18,7 +18,7 @@ from . import svg
 from .config import RunConfig, load_config
 from .errors import (
     AlignmentError, ConfigError, EmptyInput, InsufficientData, InvalidSpec,
-    MissingField, QuantRangeError, RuinousReturn, ZeroRange,
+    MissingField, QuantRangeError, RuinousReturn, ShapeMismatch, ZeroRange,
 )
 from .io_utils import atomic_write_text, atomic_writer, reading
 from .models.checkpoint import load_checkpoint, save_checkpoint
@@ -115,8 +115,14 @@ def _read_bars_tsv(cfg: RunConfig, split: str) -> np.recarray:
     return rows.astype(md.BAR_DTYPE).view(np.recarray)
 
 
-def _price_forecast(spec, params, ds: md.WindowedDataset) -> QuantileForecast:
-    raw = forward(spec, params, ds.inputs)
+def _price_forecast(spec, params, ds: md.WindowedDataset, ckpt: str,
+                    wds: str) -> QuantileForecast:
+    try:
+        raw = forward(spec, params, ds.inputs)
+    except ShapeMismatch as exc:
+        raise ConfigError(f"{ckpt} does not fit the windows of {wds}: {exc} "
+                          "(the data changed since train; run train again)"
+                          ) from None
     return QuantileForecast(md.invert_minmax(raw.values, ds.norm), raw.levels)
 
 
@@ -147,7 +153,7 @@ def _eval_kind(cfg: RunConfig, kind: str) -> im.MetricsReport:
     _, spec, params = load_checkpoint(ckpt)
     wds = _out(cfg, "test.wds")
     ds = md.load_dataset(wds)
-    forecast = _price_forecast(spec, params, ds)
+    forecast = _price_forecast(spec, params, ds, ckpt, wds)
     actuals = md.invert_minmax(ds.targets, ds.norm).reshape(-1)
     try:
         report = im.evaluate(actuals, forecast, cfg.metrics)
@@ -186,7 +192,7 @@ def _backtest_forecast(cfg: RunConfig,
     print(f"forecast: computed from {ckpt} ({cached} is missing or stale)")
     _, spec, params = load_checkpoint(ckpt)
     ds = md.load_dataset(wds)
-    return _price_forecast(spec, params, ds), ds.target_times
+    return _price_forecast(spec, params, ds, ckpt, wds), ds.target_times
 
 
 def cmd_backtest(cfg: RunConfig) -> None:

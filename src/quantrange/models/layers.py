@@ -2,7 +2,11 @@
 
 Every forward returns (output, cache); the matching backward consumes the
 cache plus the upstream gradient and returns gradients for its inputs and
-parameters. Everything runs in float64 for deterministic, checkable math.
+parameters. Each computes through `out=` into buffers of the Workspace it
+is given, with every product and sum in the order of the plain expression
+it replaces. A broadcast operand is first copied out to the full shape,
+since numpy allocates a buffer for it. Everything runs in float64 for
+deterministic, checkable math.
 Attention projections and conv input gradients are 2-D matmuls over all
 N*T rows, summing as the per-sample products do (and bit-equal to them
 wherever BLAS picks the same kernel for both).
@@ -17,85 +21,168 @@ import numpy as np
 from ..errors import DimensionMismatch
 
 
+def _allocate(size: int, dtype) -> np.ndarray:
+    """The one place a workspace gets memory."""
+    return np.empty(size, dtype)
+
+
+class Workspace:
+    """The buffers of one train or forward call. After `reset` the k-th
+    request gets the k-th buffer, so a step repeated on batches no larger
+    than its first allocates nothing (a smaller batch uses the leading
+    elements). A buffer is live until the next reset."""
+
+    def __init__(self):
+        self.slots: list[tuple] = []    # ((shape, dtype), view, buffer)
+        self.count = 0
+        self.shared = _allocate(0, float)
+
+    def reset(self) -> Workspace:
+        self.count = 0
+        return self
+
+    def empty(self, shape: tuple, dtype=float) -> np.ndarray:
+        i = self.count
+        self.count += 1
+        if i == len(self.slots):
+            self.slots.append((None, None, _allocate(math.prod(shape), dtype)))
+        key, view, buf = self.slots[i]
+        if key != (shape, dtype):
+            size = math.prod(shape)
+            if buf.size < size or buf.dtype != dtype:
+                buf = _allocate(size, dtype)
+            view = buf[:size].reshape(shape)
+            self.slots[i] = ((shape, dtype), view, buf)
+        return view
+
+    def temp(self, shape: tuple) -> np.ndarray:
+        """A float buffer that every transient use shares, valid until the
+        next temp request: a layer holds at most one at a time."""
+        size = math.prod(shape)
+        if self.shared.size < size:
+            self.shared = _allocate(size, float)
+        return self.shared[:size].reshape(shape)
+
+
+class _Fresh(Workspace):
+    def empty(self, shape: tuple, dtype=float) -> np.ndarray:
+        return _allocate(math.prod(shape), dtype).reshape(shape)
+
+    temp = empty
+
+
+FRESH = _Fresh()    # the workspace of a call given none: new arrays each time
+
+
+def _fill(out: np.ndarray, a) -> np.ndarray:
+    np.copyto(out, a)
+    return out
+
+
 # --- layer normalization (over the last axis) ---
 
-def layer_norm_forward(x, gamma, shift, epsilon: float = 1e-5):
+def layer_norm_forward(x, gamma, shift, epsilon: float = 1e-5, ws=FRESH):
     """((x - mu) / sqrt(var + eps)) * gamma + shift, per trailing vector;
     mu and var are sums over d divided by d, as np.mean and np.var do."""
     d = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + epsilon)
-    xhat = xc * inv_std
-    y = xhat * gamma + shift
+    s = x.sum(axis=-1, keepdims=True, out=ws.empty(x.shape[:-1] + (1,)))
+    s /= d                                      # mu
+    full = _fill(ws.temp(x.shape), s)
+    xhat = np.subtract(x, full, out=ws.empty(x.shape))
+    y = np.multiply(xhat, xhat, out=ws.empty(x.shape))
+    y.sum(axis=-1, keepdims=True, out=s)
+    s /= d                                      # var
+    s += epsilon
+    inv_std = np.divide(1.0, np.sqrt(s, out=s), out=s)
+    xhat *= _fill(full, inv_std)
+    np.multiply(xhat, _fill(full, gamma), out=y)
+    y += _fill(full, shift)
     return y, (xhat, inv_std, gamma)
 
 
-def layer_norm_backward(cache, dy):
+def layer_norm_backward(cache, dy, ws=FRESH):
     xhat, inv_std, gamma = cache
+    d = dy.shape[-1]
     axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
-    dshift = dy.sum(axis=axes)
-    dxhat = dy * gamma
-    m1 = dxhat.sum(axis=-1, keepdims=True) / dy.shape[-1]
-    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / dy.shape[-1]
-    dx = inv_std * (dxhat - m1 - xhat * m2)
+    t = np.multiply(dy, xhat, out=ws.empty(dy.shape))
+    dgamma = t.sum(axis=axes, out=ws.empty((d,)))
+    dshift = dy.sum(axis=axes, out=ws.empty((d,)))
+    full = _fill(ws.temp(dy.shape), gamma)
+    dx = np.multiply(dy, full, out=ws.empty(dy.shape))     # dxhat
+    m = dx.sum(axis=-1, keepdims=True, out=ws.empty(dy.shape[:-1] + (1,)))
+    m /= d
+    _fill(full, m)                                          # m1
+    np.multiply(dx, xhat, out=t)
+    t.sum(axis=-1, keepdims=True, out=m)
+    m /= d                                                  # m2
+    # inv_std * (dxhat - m1 - xhat * m2)
+    dx -= full
+    dx -= np.multiply(xhat, _fill(full, m), out=t)
+    dx *= _fill(full, inv_std)
     return dx, dgamma, dshift
 
 
 # --- dense ---
 
-def linear_forward(x, w, b):
-    return x @ w + b, (x, w)
+def linear_forward(x, w, b, ws=FRESH):
+    shape = x.shape[:-1] + w.shape[1:]
+    y = np.matmul(x, w, out=ws.empty(shape))
+    y += _fill(ws.temp(shape), b)
+    return y, (x, w)
 
 
-def linear_backward(cache, dy, input_grad: bool = True):
+def linear_backward(cache, dy, input_grad: bool = True, ws=FRESH):
     """dx is None when input_grad is false, as for a layer fed by data."""
     x, w = cache
     din, dout = w.shape
+    dyf = dy.reshape(-1, dout)
     # an explicit row count, since -1 is ambiguous when din is 0
-    dw = x.reshape(math.prod(x.shape[:-1]), din).T @ dy.reshape(-1, dout)
-    db = dy.reshape(-1, dout).sum(axis=0)
-    dx = dy @ w.T if input_grad else None
+    xf = x.reshape(math.prod(x.shape[:-1]), din)
+    dw = np.matmul(xf.T, dyf, out=ws.empty(w.shape))
+    db = dyf.sum(axis=0, out=ws.empty((dout,)))
+    dx = None
+    if input_grad:
+        dx = np.matmul(dy, w.T, out=ws.empty(dy.shape[:-1] + (din,)))
     return dx, dw, db
 
 
 # --- ReLU ---
 
-def relu_forward(x):
-    mask = x > 0.0
-    return x * mask, mask
+def relu_forward(x, ws=FRESH):
+    mask = np.greater(x, 0.0, out=ws.empty(x.shape, bool))
+    return relu_backward(mask, x, ws), mask
 
 
-def relu_backward(mask, dy):
-    return dy * mask
+def relu_backward(mask, dy, ws=FRESH):
+    """dy * mask, the mask first copied out as 0.0 and 1.0 (numpy casts a
+    bool operand in a buffer it allocates)."""
+    out = _fill(ws.empty(dy.shape), mask)
+    return np.multiply(dy, out, out=out)
 
 
 # --- softmax (last axis) ---
 
-def softmax(x):
+def softmax(x, ws=FRESH):
     # the row maximum column by column (cheaper than a reduce of short rows);
     # any order gives it exactly, up to a zero's sign, which exp cannot see
-    top = x[..., :1]
+    top = _fill(ws.empty(x.shape[:-1] + (1,)), x[..., :1])
     for j in range(1, x.shape[-1]):
-        top = np.maximum(top, x[..., j:j + 1])
-    e = np.exp(x - top)
-    return e / e.sum(axis=-1, keepdims=True)
+        np.maximum(top, x[..., j:j + 1], out=top)
+    full = _fill(ws.empty(x.shape), top)
+    e = np.exp(np.subtract(x, full, out=full), out=full)
+    e /= _fill(ws.temp(x.shape), e.sum(axis=-1, keepdims=True, out=top))
+    return e
 
 
 # --- multi-head attention ---
 
 def split_heads(x, n: int, t: int, h: int):  # (N*T, d) -> (N, h, T, d/h)
+    """A view, so a matmul writing into it merges the heads as it goes."""
     shape = (n, t, h, x.shape[1] // h)
     return x.reshape(shape).transpose(0, 2, 1, 3)
 
 
-def merge_heads(x):  # (N, h, T, dk) -> (N*T, h*dk)
-    n, h, t, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(n * t, h * dk)
-
-
-def mha_forward(x, wq, wk, wv, wo, num_heads: int):
+def mha_forward(x, wq, wk, wv, wo, num_heads: int, ws=FRESH):
     """softmax(Q K^T / sqrt(d_k)) V per head, heads concatenated then
     projected by wo. x: (N, T, d) with d divisible by num_heads."""
     n, t, d = x.shape
@@ -103,49 +190,59 @@ def mha_forward(x, wq, wk, wv, wo, num_heads: int):
         raise DimensionMismatch(
             f"model dim {d} not divisible by num_heads {num_heads}"
         )
-    dk = d // num_heads
     xf = x.reshape(n * t, d)
-    q = split_heads(xf @ wq, n, t, num_heads)   # (N, h, T, dk)
-    k = split_heads(xf @ wk, n, t, num_heads)
-    v = split_heads(xf @ wv, n, t, num_heads)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
-    attn = softmax(scores)                   # (N, h, T, T)
-    heads = attn @ v                         # (N, h, T, dk)
-    concat = merge_heads(heads)              # (N*T, d)
-    y = (concat @ wo).reshape(n, t, d)
+    q, k, v = (split_heads(np.matmul(xf, w, out=ws.empty((n * t, d))),
+                           n, t, num_heads) for w in (wq, wk, wv))
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2),
+                       out=ws.empty((n, num_heads, t, t)))
+    scores /= np.sqrt(d // num_heads)
+    attn = softmax(scores, ws)                        # (N, h, T, T)
+    concat = ws.empty((n * t, d))                     # heads, merged
+    np.matmul(attn, v, out=split_heads(concat, n, t, num_heads))
+    y = np.matmul(concat, wo, out=ws.empty((n * t, d))).reshape(n, t, d)
     cache = (x, wq, wk, wv, wo, q, k, v, attn, concat, num_heads)
     return y, cache
 
 
-def mha_backward(cache, dy):
+def mha_backward(cache, dy, ws=FRESH):
     x, wq, wk, wv, wo, q, k, v, attn, concat, num_heads = cache
     n, t, d = x.shape
     scale = 1.0 / np.sqrt(d // num_heads)
 
     dyf = dy.reshape(n * t, d)
-    dwo = concat.T @ dyf
-    dheads = split_heads(dyf @ wo.T, n, t, num_heads)   # (N, h, T, dk)
+    dwo = np.matmul(concat.T, dyf, out=ws.empty((d, d)))
+    dheads = split_heads(np.matmul(dyf, wo.T, out=ws.empty((n * t, d))),
+                         n, t, num_heads)                # (N, h, T, dk)
 
-    dattn = dheads @ v.transpose(0, 1, 3, 2)          # (N, h, T, T)
-    dv = attn.transpose(0, 1, 3, 2) @ dheads
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dq = dscores @ k * scale
-    dk = dscores.transpose(0, 1, 3, 2) @ q * scale
-
-    dxq = merge_heads(dq)
-    dxk = merge_heads(dk)
-    dxv = merge_heads(dv)
+    dattn = np.matmul(dheads, v.transpose(0, 1, 3, 2),
+                      out=ws.empty(attn.shape))         # (N, h, T, T)
+    # dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dscores = np.multiply(dattn, attn, out=ws.empty(attn.shape))
+    dattn -= _fill(ws.temp(attn.shape), dscores.sum(
+        axis=-1, keepdims=True, out=ws.empty(attn.shape[:-1] + (1,))))
+    np.multiply(attn, dattn, out=dscores)
+    # dq, dk and dv, their heads merged
+    dxq, dxk, dxv = (ws.empty((n * t, d)) for _ in range(3))
+    for a, b, out in ((dscores, k, dxq),
+                      (dscores.transpose(0, 1, 3, 2), q, dxk),
+                      (attn.transpose(0, 1, 3, 2), dheads, dxv)):
+        np.matmul(a, b, out=split_heads(out, n, t, num_heads))
+    dxq *= scale
+    dxk *= scale
     xf = x.reshape(n * t, d)
-    dwq = xf.T @ dxq
-    dwk = xf.T @ dxk
-    dwv = xf.T @ dxv
-    dx = (dxq @ wq.T + dxk @ wk.T + dxv @ wv.T).reshape(n, t, d)
-    return dx, dwq, dwk, dwv, dwo
+    dwq, dwk, dwv = (np.matmul(xf.T, g, out=ws.empty((d, d)))
+                     for g in (dxq, dxk, dxv))
+    # dxq @ wq.T + dxk @ wk.T + dxv @ wv.T, summed left to right
+    dx = np.matmul(dxq, wq.T, out=ws.empty((n * t, d)))
+    part = np.matmul(dxk, wk.T, out=ws.temp((n * t, d)))
+    dx += part
+    dx += np.matmul(dxv, wv.T, out=part)
+    return dx.reshape(n, t, d), dwq, dwk, dwv, dwo
 
 
 # --- 1-d convolution along the time axis (same padding) ---
 
-def conv1d_forward(x, w, b):
+def conv1d_forward(x, w, b, ws=FRESH):
     """x: (N, T, Cin), w: (k, Cin, Cout), b: (Cout,). Same-padded."""
     n, t, cin = x.shape
     k, wcin, cout = w.shape
@@ -156,50 +253,69 @@ def conv1d_forward(x, w, b):
     pl = (k - 1) // 2
     xp = x
     if k > 1:
-        xp = np.zeros((n, t + k - 1, cin))
+        xp = _fill(ws.empty((n, t + k - 1, cin)), 0.0)
         xp[:, pl:pl + t] = x
-    y = xp[:, :t] @ w[0] + b
+    y = np.matmul(xp[:, :t], w[0], out=ws.empty((n, t, cout)))
+    part = _fill(ws.temp(y.shape), b)
+    y += part
     for j in range(1, k):
-        y += xp[:, j:j + t] @ w[j]
+        y += np.matmul(xp[:, j:j + t], w[j], out=part)
     return y, (xp, w, t, pl)
 
 
-def conv1d_backward(cache, dy):
+def conv1d_backward(cache, dy, ws=FRESH):
+    """dx sums each tap's input gradient in tap order from 0.0; a tap that
+    reaches only some rows adds a contiguous copy holding 0.0 in the others,
+    which changes no such sum."""
     xp, w, t, pl = cache
     k, cin, cout = w.shape
     dyf = dy.reshape(-1, cout)
-    dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
+    dw = ws.empty(w.shape)
+    dx = _fill(ws.empty((len(xp), t, cin)), 0.0)
+    window = ws.empty(dx.shape)                 # xp[:, j:j + t], contiguous
+    part = ws.empty((len(dyf), cin))
+    spread = ws.temp(dx.shape)
     for j in range(k):
-        dw[j] = xp[:, j:j + t].reshape(-1, cin).T @ dyf
-        dxp[:, j:j + t] += (dyf @ w[j].T).reshape(-1, t, cin)
-    db = dyf.sum(axis=0)
-    dx = dxp[:, pl:pl + t]
+        np.copyto(window, xp[:, j:j + t])
+        np.matmul(window.reshape(-1, cin).T, dyf, out=dw[j])
+        p = np.matmul(dyf, w[j].T, out=part).reshape(-1, t, cin)
+        lo, hi = max(j - pl, 0), t + min(j - pl, 0)   # the rows tap j reaches
+        if hi - lo < t:
+            _fill(spread, 0.0)[:, lo:hi] = p[:, lo + pl - j:hi + pl - j]
+            p = spread
+        dx += p
+    db = dyf.sum(axis=0, out=ws.empty((cout,)))
     return dx, dw, db
 
 
 # --- global average pooling over the time axis ---
 
-def gap_forward(x):
+def gap_forward(x, ws=FRESH):
     """(N, T, d) -> (N, d): arithmetic mean over time."""
-    return x.mean(axis=1), (x.shape[1],)
+    out = ws.empty((x.shape[0], x.shape[2]))
+    return np.mean(x, axis=1, out=out), (x.shape[1],)
 
 
-def gap_backward(cache, dy):
+def gap_backward(cache, dy, ws=FRESH):
     (t,) = cache
-    return np.repeat(dy[:, None, :], t, axis=1) / t
+    dx = _fill(ws.empty((dy.shape[0], t, dy.shape[1])), dy[:, None, :])
+    dx /= t
+    return dx
 
 
 # --- dropout (inverted scaling; identity without an rng or at rate 0) ---
 
-def dropout_forward(x, rate: float, rng: np.random.Generator | None):
+def dropout_forward(x, rate: float, rng: np.random.Generator | None, ws=FRESH):
     if rng is None or rate <= 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask, mask
+    # (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = rng.random(out=ws.empty(x.shape))
+    _fill(mask, np.greater_equal(mask, rate, out=ws.empty(x.shape, bool)))
+    mask *= 1.0 / (1.0 - rate)
+    return dropout_backward(mask, x, ws), mask
 
 
-def dropout_backward(mask, dy):
+def dropout_backward(mask, dy, ws=FRESH):
     if mask is None:
         return dy
-    return dy * mask
+    return np.multiply(dy, mask, out=ws.empty(dy.shape))

@@ -16,12 +16,6 @@ def pinball_loss(q_hat, y, beta: float):
     return np.where(diff >= 0.0, (1.0 - beta) * diff, -beta * diff)
 
 
-def pinball_grad(q_hat, y, beta: float):
-    """Subgradient wrt q_hat; the kink at q == y takes the q >= y branch."""
-    diff = np.asarray(q_hat, dtype=float) - np.asarray(y, dtype=float)
-    return np.where(diff >= 0.0, 1.0 - beta, -beta)
-
-
 def mean_pinball(pred: np.ndarray, y: np.ndarray, levels) -> float:
     """Mean over samples and levels of the pinball loss.
 
@@ -33,11 +27,23 @@ def mean_pinball(pred: np.ndarray, y: np.ndarray, levels) -> float:
     return total / len(levels)
 
 
-def mean_pinball_grad(pred: np.ndarray, y: np.ndarray, levels) -> np.ndarray:
-    """d(mean_pinball)/d(pred), shape (N, Q)."""
+def mean_pinball_and_grad(pred: np.ndarray, y: np.ndarray, levels, ws):
+    """mean_pinball(pred, y, levels) and its subgradient wrt pred, (N, Q),
+    from one difference per level, in buffers of the workspace ws. The kink
+    at pred == y takes the pred >= y branch."""
     n, q = pred.shape
-    grad = np.empty_like(pred)
+    diff, loss, col = ws.empty((n,)), ws.empty((n,)), ws.empty((n,))
+    above = ws.empty((n,), bool)
+    grad = ws.empty((n, q))
+    total = 0.0
     for j, beta in enumerate(levels):
-        grad[:, j] = pinball_grad(pred[:, j], y, beta)
-    return grad / (n * q)
-
+        np.subtract(pred[:, j], y, out=diff)
+        np.greater_equal(diff, 0.0, out=above)
+        np.multiply(diff, -beta, out=loss)
+        np.putmask(loss, above, np.multiply(diff, 1.0 - beta, out=col))
+        total += loss.sum() / n                 # loss.mean()
+        # the where() of 1 - beta and -beta, divided by n * q
+        col.fill(-beta / (n * q))
+        np.putmask(col, above, (1.0 - beta) / (n * q))
+        grad[:, j] = col
+    return total / len(levels), grad

@@ -27,7 +27,7 @@ from ..config import LinearSpec, MLPSpec, ModelSpec
 from ..errors import NonFiniteLoss, ShapeMismatch
 from . import layers as L
 from .forecast import QuantileForecast
-from .losses import mean_pinball, mean_pinball_grad
+from .losses import mean_pinball, mean_pinball_and_grad
 
 
 class ParameterSet:
@@ -68,20 +68,20 @@ def _head_shapes(spec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _head_forward(head, params, x):
+def _head_forward(head, params, x, ws):
     """Returns (outputs, caches): each layer's (linear cache, ReLU mask or
     None)."""
     caches = []
     for i, (w, b) in enumerate(head):
-        x, cache = L.linear_forward(x, params[w], params[b])
+        x, cache = L.linear_forward(x, params[w], params[b], ws)
         mask = None
         if i < len(head) - 1:
-            x, mask = L.relu_forward(x)
+            x, mask = L.relu_forward(x, ws)
         caches.append((cache, mask))
     return x, caches
 
 
-def _head_backward(head, caches, dout, grads, input_grad: bool):
+def _head_backward(head, caches, dout, grads, input_grad: bool, ws):
     """Writes the head's gradients into grads and returns the gradient of
     its input, or None when input_grad is false."""
     dy = dout
@@ -89,9 +89,9 @@ def _head_backward(head, caches, dout, grads, input_grad: bool):
         w, b = head[i]
         cache, mask = caches[i]
         if mask is not None:
-            dy = L.relu_backward(mask, dy)
+            dy = L.relu_backward(mask, dy, ws)
         dy, grads[w], grads[b] = L.linear_backward(cache, dy,
-                                                   input_grad or i > 0)
+                                                   input_grad or i > 0, ws)
     return dy
 
 
@@ -123,41 +123,43 @@ def _encoder_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _block_forward(x, p, prefix, spec, rng):
+def _block_forward(x, p, prefix, spec, rng, ws=L.FRESH):
+    """The residual sums go into the branch outputs, which no cache holds."""
     eps = spec.ln_epsilon
-    n1, c_ln1 = L.layer_norm_forward(x, p[prefix + "ln1_g"], p[prefix + "ln1_b"], eps)
+    n1, c_ln1 = L.layer_norm_forward(x, p[prefix + "ln1_g"], p[prefix + "ln1_b"], eps, ws)
     att, c_att = L.mha_forward(n1, p[prefix + "wq"], p[prefix + "wk"],
-                               p[prefix + "wv"], p[prefix + "wo"], spec.num_heads)
-    att_d, c_drop = L.dropout_forward(att, spec.dropout_rate, rng)
-    y1 = x + att_d
+                               p[prefix + "wv"], p[prefix + "wo"], spec.num_heads, ws)
+    y1, c_drop = L.dropout_forward(att, spec.dropout_rate, rng, ws)
+    y1 += x
 
-    n2, c_ln2 = L.layer_norm_forward(y1, p[prefix + "ln2_g"], p[prefix + "ln2_b"], eps)
-    h1, c_conv1 = L.conv1d_forward(n2, p[prefix + "conv1_w"], p[prefix + "conv1_b"])
-    hr, relu_mask = L.relu_forward(h1)
-    h2, c_conv2 = L.conv1d_forward(hr, p[prefix + "conv2_w"], p[prefix + "conv2_b"])
-    y2 = y1 + h2
+    n2, c_ln2 = L.layer_norm_forward(y1, p[prefix + "ln2_g"], p[prefix + "ln2_b"], eps, ws)
+    h1, c_conv1 = L.conv1d_forward(n2, p[prefix + "conv1_w"], p[prefix + "conv1_b"], ws)
+    hr, relu_mask = L.relu_forward(h1, ws)
+    y2, c_conv2 = L.conv1d_forward(hr, p[prefix + "conv2_w"], p[prefix + "conv2_b"], ws)
+    y2 += y1
     return y2, (c_ln1, c_att, c_drop, c_ln2, c_conv1, relu_mask, c_conv2)
 
 
-def _block_backward(dy, cache, prefix, grads):
+def _block_backward(dy, cache, prefix, grads, ws):
     c_ln1, c_att, c_drop, c_ln2, c_conv1, relu_mask, c_conv2 = cache
     # second residual branch
     dh2 = dy
     dhr, grads[prefix + "conv2_w"], grads[prefix + "conv2_b"] = \
-        L.conv1d_backward(c_conv2, dh2)
-    dh1 = L.relu_backward(relu_mask, dhr)
+        L.conv1d_backward(c_conv2, dh2, ws)
+    dh1 = L.relu_backward(relu_mask, dhr, ws)
     dn2, grads[prefix + "conv1_w"], grads[prefix + "conv1_b"] = \
-        L.conv1d_backward(c_conv1, dh1)
+        L.conv1d_backward(c_conv1, dh1, ws)
     dy1, grads[prefix + "ln2_g"], grads[prefix + "ln2_b"] = \
-        L.layer_norm_backward(c_ln2, dn2)
-    dy1 = dy1 + dy
+        L.layer_norm_backward(c_ln2, dn2, ws)
+    dy1 += dy
     # first residual branch
-    datt = L.dropout_backward(c_drop, dy1)
-    dn1, *dw = L.mha_backward(c_att, datt)
+    datt = L.dropout_backward(c_drop, dy1, ws)
+    dn1, *dw = L.mha_backward(c_att, datt, ws)
     grads.update(zip((prefix + w for w in ("wq", "wk", "wv", "wo")), dw))
     dx, grads[prefix + "ln1_g"], grads[prefix + "ln1_b"] = \
-        L.layer_norm_backward(c_ln1, dn1)
-    return dx + dy1
+        L.layer_norm_backward(c_ln1, dn1, ws)
+    dx += dy1
+    return dx
 
 
 def _encoder_inputs(spec: ModelSpec, x):
@@ -170,24 +172,24 @@ def _encoder_inputs(spec: ModelSpec, x):
     return x
 
 
-def _encoder_forward(spec: ModelSpec, params, x, rng):
+def _encoder_forward(spec: ModelSpec, params, x, rng, ws):
     """Input projection, blocks and pooling: returns ((N, d) pooled, caches)."""
-    h, input_cache = L.linear_forward(x, params["input_w"], params["input_b"])
+    h, input_cache = L.linear_forward(x, params["input_w"], params["input_b"], ws)
     block_caches = []
     for i in range(spec.num_blocks):
-        h, c = _block_forward(h, params, f"block{i}_", spec, rng)
+        h, c = _block_forward(h, params, f"block{i}_", spec, rng, ws)
         block_caches.append(c)
-    pooled, gap_cache = L.gap_forward(h)
+    pooled, gap_cache = L.gap_forward(h, ws)
     return pooled, (input_cache, block_caches, gap_cache)
 
 
-def _encoder_backward(spec: ModelSpec, caches, dpooled, grads) -> None:
+def _encoder_backward(spec: ModelSpec, caches, dpooled, grads, ws) -> None:
     input_cache, block_caches, gap_cache = caches
-    dh = L.gap_backward(gap_cache, dpooled)
+    dh = L.gap_backward(gap_cache, dpooled, ws)
     for i in reversed(range(spec.num_blocks)):
-        dh = _block_backward(dh, block_caches[i], f"block{i}_", grads)
+        dh = _block_backward(dh, block_caches[i], f"block{i}_", grads, ws)
     _, grads["input_w"], grads["input_b"] = L.linear_backward(
-        input_cache, dh, input_grad=False)
+        input_cache, dh, input_grad=False, ws=ws)
 
 
 # --- the table of model kinds ---
@@ -197,9 +199,10 @@ class ModelKind:
     """What a model kind runs: the input check (spec, x) -> x as a float
     array or ShapeMismatch, the training settings it imposes on a
     TrainConfig, and the body between input and dense head, if any: its
-    parameter shapes, its forward pass (spec, params, x, rng) -> (head
+    parameter shapes, its forward pass (spec, params, x, rng, ws) -> (head
     input, caches) and its backward pass (spec, caches, dhead_input,
-    grads), which writes its gradients into grads."""
+    grads, ws), which writes its gradients into grads, both computing in
+    the layers.Workspace ws."""
 
     inputs: Callable
     train_config: Callable = lambda config: config
@@ -248,26 +251,28 @@ def zero_params(spec) -> ParameterSet:
 
 
 def forward_raw(spec, params: ParameterSet, x: np.ndarray,
-                rng: np.random.Generator | None = None):
+                rng: np.random.Generator | None = None,
+                ws: L.Workspace = L.FRESH):
     """Full forward pass of any kind, with dropout if rng is given. Returns
-    (outputs (N, Q), caches)."""
+    (outputs (N, Q), caches), which live in ws until its next reset."""
     kind = KINDS[type(spec)]
     h = kind.inputs(spec, x)
     body_caches = None
     if kind.body_forward:
-        h, body_caches = kind.body_forward(spec, params, h, rng)
-    out, head_caches = _head_forward(spec.head, params, h)
+        h, body_caches = kind.body_forward(spec, params, h, rng, ws)
+    out, head_caches = _head_forward(spec.head, params, h, ws)
     return out, (body_caches, head_caches)
 
 
-def backward_raw(spec, caches, dout: np.ndarray) -> dict:
+def backward_raw(spec, caches, dout: np.ndarray,
+                 ws: L.Workspace = L.FRESH) -> dict:
     body_backward = KINDS[type(spec)].body_backward
     body_caches, head_caches = caches
     grads: dict[str, np.ndarray] = {}
     dh = _head_backward(spec.head, head_caches, dout, grads,
-                        input_grad=body_backward is not None)
+                        input_grad=body_backward is not None, ws=ws)
     if body_backward:
-        body_backward(spec, body_caches, dh, grads)
+        body_backward(spec, body_caches, dh, grads, ws)
     return grads
 
 
@@ -279,12 +284,16 @@ def forward(spec, params: ParameterSet, x: np.ndarray) -> QuantileForecast:
     INFER_CHUNK windows per forward_raw call. Chunk sizes differ by at most
     one, so no chunk is one window when N > INFER_CHUNK (BLAS may sum a
     one-row product in another order); every other op is row-wise, so the
-    values have the bits of one full-batch call."""
+    values have the bits of one full-batch call. The chunks share one
+    workspace, which the first (largest) sizes."""
     x = KINDS[type(spec)].inputs(spec, x)
-    # [0] drops each chunk's caches before the next chunk runs
-    values = [forward_raw(spec, params, part)[0]
-              for part in np.array_split(x, -(-len(x) // INFER_CHUNK) or 1)]
-    return QuantileForecast(values=np.concatenate(values), levels=spec.levels)
+    values = np.empty((len(x), len(spec.levels)))
+    chunks = -(-len(x) // INFER_CHUNK) or 1
+    ws = L.Workspace()
+    for part, rows in zip(np.array_split(x, chunks),
+                          np.array_split(values, chunks)):
+        rows[...] = forward_raw(spec, params, part, None, ws.reset())[0]
+    return QuantileForecast(values=values, levels=spec.levels)
 
 
 def loss_value(spec, params: ParameterSet, x: np.ndarray,
@@ -300,13 +309,12 @@ def loss_and_grads(
     x: np.ndarray,
     y: np.ndarray,
     rng: np.random.Generator | None = None,
+    ws: L.Workspace = L.FRESH,
 ) -> tuple[float, dict]:
     """Loss and gradients of one step, with dropout if rng is given."""
     y = np.asarray(y, dtype=float)
-    out, caches = forward_raw(spec, params, x, rng)
-    value = float(mean_pinball(out, y, spec.levels.levels))
+    out, caches = forward_raw(spec, params, x, rng, ws)
+    value, dout = mean_pinball_and_grad(out, y, spec.levels.levels, ws)
     if not np.isfinite(value):
         raise NonFiniteLoss(f"loss diverged to {value}")
-    dout = mean_pinball_grad(out, y, spec.levels.levels)
-    grads = backward_raw(spec, caches, dout)
-    return value, grads
+    return float(value), backward_raw(spec, caches, dout, ws)

@@ -15,6 +15,7 @@ from quantrange.cli import main
 from quantrange.config import MODEL_KINDS as KINDS
 from quantrange.config import SYNTHETIC_KINDS, SyntheticSpec, load_config
 from quantrange.errors import ConfigError
+from quantrange.market_data import load_dataset
 from test_acceptance import ACCEPTANCE_CONFIG
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -523,6 +524,34 @@ def test_window_in_changed_after_ingest_moves_no_forecast(tmp_path, capsys):
     config.write_text(text.replace("window_in = 5", "window_in = 4"))
     assert run_stages(config, out, "backtest") == [0]
     assert backtest_artifacts(out) == before
+
+
+# a checkpoint trained on 5-step windows, then test.wds ingested again with
+# 4: eval and backtest printed `error: expected input (N, 5, 1), got (221,
+# 4, 1)`, naming neither the checkpoint nor the dataset
+@pytest.mark.parametrize("kind, expected", [
+    ("futurequant", "expected input (N, 5, 1), got"),
+    ("quantile-linear", "expected 5 input values per sample, got input"),
+])
+def test_checkpoint_that_does_not_fit_test_wds_names_both(tmp_path, capsys,
+                                                          kind, expected):
+    text = SMALL_CONFIG.replace("kind = futurequant", f"kind = {kind}")
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run_stages(config, out, "synth", "ingest", "train",
+                      "eval") == [0] * 4
+    config.write_text(text.replace("window_in = 5", "window_in = 4"))
+    assert run_stages(config, out, "ingest") == [0]
+    capsys.readouterr()
+    windows = load_dataset(str(out / "test.wds")).inputs.shape
+    for command in ("eval", "backtest"):
+        assert run_stages(config, out, command) == [1]
+        assert capsys.readouterr().err == (
+            f"error: {out / f'model-{kind}.ckpt'} does not fit the windows "
+            f"of {out / 'test.wds'}: {expected} {windows} (the data changed "
+            "since train; run train again)\n")
+    assert not (out / f"backtest-{kind}.txt").exists()
 
 
 def test_short_test_split_reaches_the_tree(tmp_path, capsys):
