@@ -1,5 +1,5 @@
-"""Backtest engine: equity accounting, cumulative return, drawdown stats
-and horizon summaries."""
+"""Backtest engine: equity accounting, cumulative return and drawdown
+stats."""
 
 from __future__ import annotations
 
@@ -113,7 +113,6 @@ def run_backtest(
     indicator_cfg: IndicatorConfig = IndicatorConfig(),
     strategy_cfg: StrategyConfig = StrategyConfig(),
     initial_capital: float = 1_000_000.0,
-    horizons: dict[str, int] | None = None,
 ) -> BacktestResult:
     """Evaluate the signal strategy over bars with one forecast row per bar.
 
@@ -152,12 +151,6 @@ def run_backtest(
         "num_trades": float(len(trades)),
         "final_equity": curve.final,
     }
-    per_bar = summary["cumulative_return"]
-    for name, length in (horizons or {}).items():
-        # compound the whole-run per-bar return over the horizon length
-        mean_bar_return = (1.0 + per_bar) ** (1.0 / max(n, 1)) - 1.0
-        summary[f"cumulative_return_{name}"] = \
-            (1.0 + mean_bar_return) ** length - 1.0
     return BacktestResult(equity_curve=curve, drawdown_stats=dd,
                           trades=trades, held=held, signals=bar_signals,
                           summary=summary)

@@ -215,10 +215,8 @@ def cmd_backtest(cfg: RunConfig) -> None:
     forecast = QuantileForecast(values=aligned, levels=raw.levels)
 
     try:
-        result = bt.run_backtest(
-            test_bars, forecast, cfg.indicators, cfg.strategy,
-            cfg.backtest.initial_capital, cfg.backtest.horizons,
-        )
+        result = bt.run_backtest(test_bars, forecast, cfg.indicators,
+                                 cfg.strategy, cfg.backtest.initial_capital)
     except RuinousReturn as exc:    # the strategy trades one unit anyway
         raise ConfigError(
             f"[backtest] initial_capital = {cfg.backtest.initial_capital!r} "

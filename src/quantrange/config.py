@@ -237,7 +237,6 @@ class DataConfig(Section):
     split_val: float = allow("[0, 1]", 0.15)
     split_test: float = allow("[0, 1]", 0.15)
     window_in: int = allow(">= 1", 5)
-    window_out: int = allow((1,), 1)    # the models predict one step ahead
     stride: int = allow(">= 1", 1)
 
     def __post_init__(self):
@@ -254,7 +253,6 @@ class DataConfig(Section):
 @dataclass(frozen=True)
 class BacktestConfig(Section):
     initial_capital: float = allow("> 0", 1_000_000.0)
-    horizons: dict[str, int] = field(default_factory=dict)  # name -> bars
 
 
 @dataclass(frozen=True)
@@ -275,17 +273,6 @@ class RunConfig:
 
 # --- reading the file ---
 
-def _horizons(raw: str) -> dict[str, int]:
-    horizons: dict[str, int] = {}
-    for item in filter(None, (s.strip() for s in raw.split(","))):
-        name, _, bars = item.partition(":")
-        if not name or not bars.strip().isdecimal() or name in horizons:
-            raise ValueError(f"bad entry {item!r}: expected name:bars with a "
-                             "new name and bars >= 0")
-        horizons[name] = int(bars)
-    return horizons
-
-
 def _bool(raw: str) -> bool:
     states = configparser.ConfigParser.BOOLEAN_STATES
     if raw.lower() not in states:
@@ -304,7 +291,6 @@ _PARSE = {
     "int": int, "int | None": int, "float": float, "float | None": float,
     "str": str, "bool": _bool, "tuple[int, int]": _pair,
     "QuantileLevels": lambda v: QuantileLevels(v.split(",")),
-    "dict[str, int]": _horizons,
 }
 
 

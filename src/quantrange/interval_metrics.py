@@ -39,15 +39,15 @@ class MetricsReport:
 
 
 def _checked(actuals, intervals, metric: str):
-    """(actuals, lower, upper) arrays from N actuals and N (lower, upper)
-    pairs."""
+    """(actuals, lower, upper) 1-D arrays from N actuals of any shape, such
+    as (N,) or (N, 1), and N (lower, upper) pairs."""
     y = np.asarray(actuals, dtype=float)
     bounds = np.asarray(intervals, dtype=float).reshape(-1, 2)
     if y.size == 0:
         raise EmptyInput(f"{metric} needs at least one sample")
     if y.size != len(bounds):
         raise LengthMismatch(f"{y.size} actuals vs {len(bounds)} intervals")
-    return y, bounds[:, 0], bounds[:, 1]
+    return y.reshape(-1), bounds[:, 0], bounds[:, 1]
 
 
 def picp(actuals, intervals) -> float:

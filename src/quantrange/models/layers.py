@@ -64,16 +64,6 @@ class Workspace:
         return self.shared[:size].reshape(shape)
 
 
-class _Fresh(Workspace):
-    def empty(self, shape: tuple, dtype=float) -> np.ndarray:
-        return _allocate(math.prod(shape), dtype).reshape(shape)
-
-    temp = empty
-
-
-FRESH = _Fresh()    # the workspace of a call given none: new arrays each time
-
-
 def _fill(out: np.ndarray, a) -> np.ndarray:
     np.copyto(out, a)
     return out
@@ -81,7 +71,7 @@ def _fill(out: np.ndarray, a) -> np.ndarray:
 
 # --- layer normalization (over the last axis) ---
 
-def layer_norm_forward(x, gamma, shift, epsilon: float = 1e-5, ws=FRESH):
+def layer_norm_forward(x, gamma, shift, epsilon: float, ws):
     """((x - mu) / sqrt(var + eps)) * gamma + shift, per trailing vector;
     mu and var are sums over d divided by d, as np.mean and np.var do."""
     d = x.shape[-1]
@@ -100,7 +90,7 @@ def layer_norm_forward(x, gamma, shift, epsilon: float = 1e-5, ws=FRESH):
     return y, (xhat, inv_std, gamma)
 
 
-def layer_norm_backward(cache, dy, ws=FRESH):
+def layer_norm_backward(cache, dy, ws):
     xhat, inv_std, gamma = cache
     d = dy.shape[-1]
     axes = tuple(range(dy.ndim - 1))
@@ -124,14 +114,14 @@ def layer_norm_backward(cache, dy, ws=FRESH):
 
 # --- dense ---
 
-def linear_forward(x, w, b, ws=FRESH):
+def linear_forward(x, w, b, ws):
     shape = x.shape[:-1] + w.shape[1:]
     y = np.matmul(x, w, out=ws.empty(shape))
     y += _fill(ws.temp(shape), b)
     return y, (x, w)
 
 
-def linear_backward(cache, dy, input_grad: bool = True, ws=FRESH):
+def linear_backward(cache, dy, input_grad: bool, ws):
     """dx is None when input_grad is false, as for a layer fed by data."""
     x, w = cache
     din, dout = w.shape
@@ -148,12 +138,12 @@ def linear_backward(cache, dy, input_grad: bool = True, ws=FRESH):
 
 # --- ReLU ---
 
-def relu_forward(x, ws=FRESH):
+def relu_forward(x, ws):
     mask = np.greater(x, 0.0, out=ws.empty(x.shape, bool))
     return relu_backward(mask, x, ws), mask
 
 
-def relu_backward(mask, dy, ws=FRESH):
+def relu_backward(mask, dy, ws):
     """dy * mask, the mask first copied out as 0.0 and 1.0 (numpy casts a
     bool operand in a buffer it allocates)."""
     out = _fill(ws.empty(dy.shape), mask)
@@ -162,7 +152,7 @@ def relu_backward(mask, dy, ws=FRESH):
 
 # --- softmax (last axis) ---
 
-def softmax(x, ws=FRESH):
+def softmax(x, ws):
     # the row maximum column by column (cheaper than a reduce of short rows);
     # any order gives it exactly, up to a zero's sign, which exp cannot see
     top = _fill(ws.empty(x.shape[:-1] + (1,)), x[..., :1])
@@ -182,7 +172,7 @@ def split_heads(x, n: int, t: int, h: int):  # (N*T, d) -> (N, h, T, d/h)
     return x.reshape(shape).transpose(0, 2, 1, 3)
 
 
-def mha_forward(x, wq, wk, wv, wo, num_heads: int, ws=FRESH):
+def mha_forward(x, wq, wk, wv, wo, num_heads: int, ws):
     """softmax(Q K^T / sqrt(d_k)) V per head, heads concatenated then
     projected by wo. x: (N, T, d) with d divisible by num_heads."""
     n, t, d = x.shape
@@ -204,7 +194,7 @@ def mha_forward(x, wq, wk, wv, wo, num_heads: int, ws=FRESH):
     return y, cache
 
 
-def mha_backward(cache, dy, ws=FRESH):
+def mha_backward(cache, dy, ws):
     x, wq, wk, wv, wo, q, k, v, attn, concat, num_heads = cache
     n, t, d = x.shape
     scale = 1.0 / np.sqrt(d // num_heads)
@@ -242,7 +232,7 @@ def mha_backward(cache, dy, ws=FRESH):
 
 # --- 1-d convolution along the time axis (same padding) ---
 
-def conv1d_forward(x, w, b, ws=FRESH):
+def conv1d_forward(x, w, b, ws):
     """x: (N, T, Cin), w: (k, Cin, Cout), b: (Cout,). Same-padded."""
     n, t, cin = x.shape
     k, wcin, cout = w.shape
@@ -263,7 +253,7 @@ def conv1d_forward(x, w, b, ws=FRESH):
     return y, (xp, w, t, pl)
 
 
-def conv1d_backward(cache, dy, ws=FRESH):
+def conv1d_backward(cache, dy, ws):
     """dx sums each tap's input gradient in tap order from 0.0; a tap that
     reaches only some rows adds a contiguous copy holding 0.0 in the others,
     which changes no such sum."""
@@ -290,13 +280,13 @@ def conv1d_backward(cache, dy, ws=FRESH):
 
 # --- global average pooling over the time axis ---
 
-def gap_forward(x, ws=FRESH):
+def gap_forward(x, ws):
     """(N, T, d) -> (N, d): arithmetic mean over time."""
     out = ws.empty((x.shape[0], x.shape[2]))
     return np.mean(x, axis=1, out=out), (x.shape[1],)
 
 
-def gap_backward(cache, dy, ws=FRESH):
+def gap_backward(cache, dy, ws):
     (t,) = cache
     dx = _fill(ws.empty((dy.shape[0], t, dy.shape[1])), dy[:, None, :])
     dx /= t
@@ -305,7 +295,7 @@ def gap_backward(cache, dy, ws=FRESH):
 
 # --- dropout (inverted scaling; identity without an rng or at rate 0) ---
 
-def dropout_forward(x, rate: float, rng: np.random.Generator | None, ws=FRESH):
+def dropout_forward(x, rate: float, rng: np.random.Generator | None, ws):
     if rng is None or rate <= 0.0:
         return x, None
     # (rng.random(x.shape) >= rate) / (1.0 - rate)
@@ -315,7 +305,7 @@ def dropout_forward(x, rate: float, rng: np.random.Generator | None, ws=FRESH):
     return dropout_backward(mask, x, ws), mask
 
 
-def dropout_backward(mask, dy, ws=FRESH):
+def dropout_backward(mask, dy, ws):
     if mask is None:
         return dy
     return np.multiply(dy, mask, out=ws.empty(dy.shape))

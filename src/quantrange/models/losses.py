@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import LengthMismatch
+
 
 def pinball_loss(q_hat, y, beta: float):
     """Elementwise pinball loss: (1-beta)(q-y) if q >= y else beta(y-q)."""
@@ -19,8 +21,13 @@ def pinball_loss(q_hat, y, beta: float):
 def mean_pinball(pred: np.ndarray, y: np.ndarray, levels) -> float:
     """Mean over samples and levels of the pinball loss.
 
-    pred: (N, Q) quantile predictions; y: (N,) targets.
+    pred: (N, Q) quantile predictions; y: N targets of any shape, such as
+    (N,) or (N, 1).
     """
+    y = np.asarray(y, dtype=float)
+    if y.size != len(pred):
+        raise LengthMismatch(f"{y.size} targets vs {len(pred)} predictions")
+    y = y.reshape(-1)
     total = 0.0
     for j, beta in enumerate(levels):
         total += pinball_loss(pred[:, j], y, beta).mean()

@@ -123,7 +123,7 @@ def _encoder_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _block_forward(x, p, prefix, spec, rng, ws=L.FRESH):
+def _block_forward(x, p, prefix, spec, rng, ws):
     """The residual sums go into the branch outputs, which no cache holds."""
     eps = spec.ln_epsilon
     n1, c_ln1 = L.layer_norm_forward(x, p[prefix + "ln1_g"], p[prefix + "ln1_b"], eps, ws)
@@ -251,8 +251,7 @@ def zero_params(spec) -> ParameterSet:
 
 
 def forward_raw(spec, params: ParameterSet, x: np.ndarray,
-                rng: np.random.Generator | None = None,
-                ws: L.Workspace = L.FRESH):
+                rng: np.random.Generator | None, ws: L.Workspace):
     """Full forward pass of any kind, with dropout if rng is given. Returns
     (outputs (N, Q), caches), which live in ws until its next reset."""
     kind = KINDS[type(spec)]
@@ -264,8 +263,7 @@ def forward_raw(spec, params: ParameterSet, x: np.ndarray,
     return out, (body_caches, head_caches)
 
 
-def backward_raw(spec, caches, dout: np.ndarray,
-                 ws: L.Workspace = L.FRESH) -> dict:
+def backward_raw(spec, caches, dout: np.ndarray, ws: L.Workspace) -> dict:
     body_backward = KINDS[type(spec)].body_backward
     body_caches, head_caches = caches
     grads: dict[str, np.ndarray] = {}
@@ -303,14 +301,9 @@ def loss_value(spec, params: ParameterSet, x: np.ndarray,
     return float(mean_pinball(out, y, spec.levels.levels))
 
 
-def loss_and_grads(
-    spec,
-    params: ParameterSet,
-    x: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator | None = None,
-    ws: L.Workspace = L.FRESH,
-) -> tuple[float, dict]:
+def loss_and_grads(spec, params: ParameterSet, x: np.ndarray, y: np.ndarray,
+                   rng: np.random.Generator | None,
+                   ws: L.Workspace) -> tuple[float, dict]:
     """Loss and gradients of one step, with dropout if rng is given."""
     y = np.asarray(y, dtype=float)
     out, caches = forward_raw(spec, params, x, rng, ws)

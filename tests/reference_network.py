@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantrange.config import ModelSpec
+from quantrange.models.layers import Workspace
 from quantrange.models.losses import mean_pinball
 from quantrange.models.network import (
     ParameterSet,
@@ -47,7 +48,7 @@ def loss_and_signature(spec, params: ParameterSet, x: np.ndarray,
                        y: np.ndarray) -> tuple[float, bytes]:
     """Eval-mode mean pinball loss plus the kink signature of the point:
     each ReLU's activation pattern, then the residual signs, bit-packed."""
-    out, caches = forward_raw(spec, params, x)
+    out, caches = forward_raw(spec, params, x, None, Workspace())
     value = float(mean_pinball(out, y, spec.levels.levels))
     signature = b"".join(np.packbits(m.ravel()).tobytes()
                          for m in [*relu_masks(caches), out >= y[:, None]])
@@ -80,7 +81,7 @@ def gradient_check(
     subsample of parameter coordinates. Pure: params are left unchanged."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
-    _, grads = loss_and_grads(spec, params, x, y)
+    _, grads = loss_and_grads(spec, params, x, y, None, Workspace())
     analytic = np.concatenate([grads[name].ravel() for name in params.arrays])
 
     rng = np.random.default_rng(seed)
@@ -117,5 +118,6 @@ def encoder_block(
     squeeze = x.ndim == 2
     if squeeze:
         x = x[None]
-    y, _ = _block_forward(x, params, f"block{block_index}_", spec, rng)
+    y, _ = _block_forward(x, params, f"block{block_index}_", spec, rng,
+                          Workspace())
     return y[0] if squeeze else y

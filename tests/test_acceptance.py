@@ -30,7 +30,7 @@ from quantrange.models.forecast import (
     QuantileForecast,
     repair_monotonic,
 )
-from quantrange.models.layers import softmax
+from quantrange.models.layers import Workspace, softmax
 from quantrange.models.network import forward, init_params, zero_params
 from quantrange.models.training import train
 from quantrange.synthetic import generate, oracle_forecast
@@ -168,7 +168,7 @@ def test_c06_shape_and_identity_checks():
     assert np.array_equal(encoder_block(x, zero_params(block_spec),
                                         block_spec, 0), x)
 
-    probs = softmax(rng.standard_normal((40, 9)))
+    probs = softmax(rng.standard_normal((40, 9)), Workspace())
     assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-12
 
     raw = QuantileForecast(rng.standard_normal((200, 5)), QuantileLevels())

@@ -158,13 +158,6 @@ class TestRunBacktest:
         assert result.summary["cumulative_return"] < 0.0
         assert result.summary["final_equity"] < 1_000_000.0
 
-    def test_summary_horizons_compound(self):
-        bars = trending_bars(40)
-        result = run_backtest(bars, nan_forecast(40),
-                              horizons={"day": 10, "week": 50})
-        assert result.summary["cumulative_return_day"] == pytest.approx(0.0)
-        assert result.summary["cumulative_return_week"] == pytest.approx(0.0)
-
     def test_drawdown_consistent_with_equity(self):
         bars = trending_bars(60, start=200.0, step=-1.0, wiggle=1.5)
         closes = np.array([b.close for b in bars])

@@ -48,7 +48,6 @@ batch_size = 32
 
 [backtest]
 initial_capital = 1000000
-horizons = day:10
 """
 
 
@@ -64,7 +63,6 @@ class TestConfigLoading:
         assert cfg.seed == 11
         assert cfg.synthetic.seed == 11
         assert cfg.specs["futurequant"].window_in == 5
-        assert cfg.backtest.horizons == {"day": 10}
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -98,7 +96,6 @@ class TestConfigLoading:
         ("train", "[train]\nmomentum = 1.0\n"),
         ("model", "[model]\nnum_blocks = 0\n"),
         ("model", "[model]\nhidden = 8\n"),
-        ("data", "[data]\nwindow_out = 2\n"),
         # stride 0 raised a raw ValueError; -1 wrote a misaligned dataset
         ("data", "[data]\nstride = 0\n"),
         ("data", "[data]\nstride = -1\n"),
@@ -117,10 +114,6 @@ class TestConfigLoading:
         ("backtest", "[backtest]\ninitial_capital = -inf\n"),
         # a capital of 0 wrote volatility = nan and a RuntimeWarning
         ("backtest", "[backtest]\ninitial_capital = 0\n"),
-        ("backtest", "[backtest]\nhorizons = :5\n"),
-        ("backtest", "[backtest]\nhorizons = day:-1\n"),
-        # a repeated name silently kept the last
-        ("backtest", "[backtest]\nhorizons = day:5,day:6\n"),
         # each trained to the end, then eval stopped on the missing level
         ("model", "[model]\nlevels = 0.1,0.5,0.9\n"),
         ("metrics", "[metrics]\nbeta = 0.3\n"),
@@ -188,11 +181,13 @@ class TestConfigLoading:
         assert "Traceback" not in err
 
     # fields of the section classes that no key sets: the loader fills them
-    # from [run] and [data], or leaves them at their defaults
+    # from [run] and [data], or leaves them at their defaults; and the
+    # removed keys [data] window_out and [backtest] horizons
     @pytest.mark.parametrize("section, key", [
         ("train", "lr_decay"), ("train", "lr_schedule"), ("train", "seed"),
         ("synthetic", "seed"), ("model", "ln_epsilon"), ("model", "window_in"),
         ("model", "num_inputs"), ("model", "num_features"),
+        ("data", "window_out"), ("backtest", "horizons"),
     ])
     def test_unset_field_is_an_unknown_key(self, tmp_path, capsys, section,
                                            key):

@@ -42,7 +42,6 @@ CHOICES = {
     "tuple[int, int]": ["1,1", "4,4", "8,2"],
     "QuantileLevels": ["0.05,0.1,0.5,0.9,0.95", "0.05,0.25,0.5,0.75,0.95",
                        "0.05,0.95"],
-    "dict[str, int]": ["", "day:3", "day:3,week:10", "now:0"],
 }
 CHOICES["int | None"] = CHOICES["int"]
 CHOICES["float | None"] = CHOICES["float"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quantrange.config import LinearSpec, MLPSpec, ModelSpec, QuantileLevels
+from quantrange.models.layers import Workspace
 from quantrange.models.network import (
     backward_raw,
     forward_raw,
@@ -21,10 +22,11 @@ def squared_loss_and_grads(spec, params, x, y):
     """Mean squared error of every quantile column against y, and its
     gradients: a smooth loss, so plain central differences apply at every
     coordinate."""
-    out, caches = forward_raw(spec, params, x)
+    ws = Workspace()
+    out, caches = forward_raw(spec, params, x, None, ws)
     residual = out - y[:, None]
     return (float((residual ** 2).mean()),
-            backward_raw(spec, caches, 2.0 * residual / residual.size))
+            backward_raw(spec, caches, 2.0 * residual / residual.size, ws))
 
 
 def squared_loss_max_rel_error(spec, params, x, y, h, floor):
@@ -113,7 +115,7 @@ def test_coordinate_on_a_kink_is_skipped():
     result = gradient_check(spec, params, x, y, num_params=size)
     assert result.skipped_kinks == size > 0
     assert result.checked == 0
-    _, grads = loss_and_grads(spec, params, x, y)
+    _, grads = loss_and_grads(spec, params, x, y, None, Workspace())
     analytic = np.concatenate([grads[name].ravel() for name in params.arrays])
     for i in range(size):
         numeric, smooth = central_difference(spec, params, x, y, i, 1e-5)
@@ -131,7 +133,8 @@ def test_coordinate_on_a_kink_is_skipped():
 def test_signature_reads_every_relu_mask(spec, shapes):
     rng = np.random.default_rng(0)
     params = init_params(spec, rng)
-    _, caches = forward_raw(spec, params, rng.uniform(-1, 1, (4, 5, 1)))
+    _, caches = forward_raw(spec, params, rng.uniform(-1, 1, (4, 5, 1)),
+                            None, Workspace())
     masks = relu_masks(caches)
     assert [m.shape for m in masks] == shapes
     assert all(m.dtype == bool for m in masks)

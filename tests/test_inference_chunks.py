@@ -13,6 +13,7 @@ import pytest
 from quantrange.config import LinearSpec, MLPSpec, ModelSpec, QuantileLevels
 from quantrange.errors import ShapeMismatch
 from quantrange.models import network
+from quantrange.models.layers import Workspace
 from quantrange.models.losses import mean_pinball
 from quantrange.models.network import (
     INFER_CHUNK,
@@ -63,7 +64,7 @@ def test_forward_is_bit_equal_to_one_full_batch(kind, n):
     # zero windows give an empty (0, Q) forecast for every kind
     spec = SPECS[kind]
     params, x, _ = _data(spec, n)
-    full, _ = forward_raw(spec, params, x)
+    full, _ = forward_raw(spec, params, x, None, Workspace())
     values = forward(spec, params, x).values
     assert values.shape == full.shape == (n, len(spec.levels))
     assert values.tobytes() == full.tobytes()
@@ -74,7 +75,7 @@ def test_forward_is_bit_equal_to_one_full_batch(kind, n):
 def test_forward_blas_shapes_within_1e12(name, n):
     spec = BLAS_SHAPE_SPECS[name]
     params, x, _ = _data(spec, n)
-    full, _ = forward_raw(spec, params, x)
+    full, _ = forward_raw(spec, params, x, None, Workspace())
     np.testing.assert_allclose(forward(spec, params, x).values, full,
                                rtol=0, atol=1e-12)
 
@@ -85,7 +86,7 @@ def test_forward_blas_shapes_within_1e12(name, n):
 def test_loss_value_matches_one_full_batch(kind, n, loss):
     spec = SPECS[kind]
     params, x, y = _data(spec, n, seed=1)
-    out, _ = forward_raw(spec, params, x)
+    out, _ = forward_raw(spec, params, x, None, Workspace())
     assert loss_value(spec, params, x, y) == float(
         loss(out, y, spec.levels.levels))
 

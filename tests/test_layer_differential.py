@@ -64,11 +64,12 @@ def test_layer_norm(shape):
     x = rng.standard_normal((n, t, d)) * 3.0 + 1.0
     gamma, shift = rng.standard_normal(d), rng.standard_normal(d)
     dy = rng.standard_normal((n, t, d))
-    y, cache = L.layer_norm_forward(x, gamma, shift, 1e-5)
+    y, cache = L.layer_norm_forward(x, gamma, shift, 1e-5,
+                                      L.Workspace())
     y_ref, cache_ref = ref.layer_norm_forward(x, gamma, shift, 1e-5)
     # no matmul: exact at every shape
     assert np.array_equal(y, y_ref)
-    assert_all_equal(L.layer_norm_backward(cache, dy),
+    assert_all_equal(L.layer_norm_backward(cache, dy, L.Workspace()),
                      ref.layer_norm_backward(cache_ref, dy), exact=True)
 
 
@@ -80,10 +81,10 @@ def test_mha(shape):
     x = rng.standard_normal((n, t, d))
     ws = [rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)]
     dy = rng.standard_normal((n, t, d))
-    y, cache = L.mha_forward(x, *ws, heads)
+    y, cache = L.mha_forward(x, *ws, heads, L.Workspace())
     y_ref, cache_ref = ref.mha_forward(x, *ws, heads)
     assert_all_equal([y], [y_ref], exact)
-    assert_all_equal(L.mha_backward(cache, dy),
+    assert_all_equal(L.mha_backward(cache, dy, L.Workspace()),
                      ref.mha_backward(cache_ref, dy), exact)
 
 
@@ -95,10 +96,10 @@ def test_conv1d(shape):
     x = rng.standard_normal((n, t, cin))
     w, b = rng.standard_normal((k, cin, cout)), rng.standard_normal(cout)
     dy = rng.standard_normal((n, t, cout))
-    y, cache = L.conv1d_forward(x, w, b)
+    y, cache = L.conv1d_forward(x, w, b, L.Workspace())
     y_ref, cache_ref = ref.conv1d_forward(x, w, b)
     assert_all_equal([y], [y_ref], exact)
-    assert_all_equal(L.conv1d_backward(cache, dy),
+    assert_all_equal(L.conv1d_backward(cache, dy, L.Workspace()),
                      ref.conv1d_backward(cache_ref, dy), exact)
 
 

@@ -4,6 +4,7 @@ import pytest
 from quantrange.config import ModelSpec
 from quantrange.errors import DimensionMismatch, ShapeMismatch
 from quantrange.models.layers import (
+    Workspace,
     conv1d_forward,
     gap_forward,
     layer_norm_forward,
@@ -17,23 +18,23 @@ from reference_network import encoder_block
 
 def layer_norm(x, gamma, shift, epsilon=1e-5):
     return layer_norm_forward(np.asarray(x, dtype=float), gamma, shift,
-                              epsilon)[0]
+                              epsilon, Workspace())[0]
 
 
 def multi_head_attention(x, wq, wk, wv, wo, num_heads):
-    return mha_forward(x, wq, wk, wv, wo, num_heads)[0]
+    return mha_forward(x, wq, wk, wv, wo, num_heads, Workspace())[0]
 
 
 def conv_feedforward(x, kernel1, bias1, kernel2, bias2):
     """ReLU(conv_k(x)) then a width-1 conv, as inside an encoder block."""
-    h, _ = conv1d_forward(x, kernel1, bias1)
-    h, _ = relu_forward(h)
-    return conv1d_forward(h, kernel2, bias2)[0]
+    h, _ = conv1d_forward(x, kernel1, bias1, Workspace())
+    h, _ = relu_forward(h, Workspace())
+    return conv1d_forward(h, kernel2, bias2, Workspace())[0]
 
 
 def global_average_pool(x):
     """(T, d) -> (d,): the pooling of one sample."""
-    return gap_forward(np.asarray(x, dtype=float)[None])[0][0]
+    return gap_forward(np.asarray(x, dtype=float)[None], Workspace())[0][0]
 
 
 class TestLayerNorm:
@@ -79,14 +80,15 @@ class TestAttention:
         d, t = 8, 5
         wq, wk, wv, wo = self.ws(d)
         x = self.rng.standard_normal((3, t, d))
-        _, cache = mha_forward(x, wq, wk, wv, wo, num_heads=4)
+        _, cache = mha_forward(x, wq, wk, wv, wo, num_heads=4,
+                               ws=Workspace())
         attn = cache[8]
         assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_logit_shift_invariance(self):
         z = self.rng.standard_normal((4, 7))
-        shifted = softmax(z + 123.0)
-        assert np.allclose(shifted, softmax(z), atol=1e-12)
+        shifted = softmax(z + 123.0, Workspace())
+        assert np.allclose(shifted, softmax(z, Workspace()), atol=1e-12)
 
     def test_indivisible_heads_rejected(self):
         d = 6
@@ -113,13 +115,13 @@ class TestConvFeedforward:
 
     def test_same_padding_shape(self):
         x = np.random.default_rng(1).standard_normal((2, 5, 3))
-        y, _ = conv1d_forward(x, np.ones((3, 3, 4)), np.zeros(4))
+        y, _ = conv1d_forward(x, np.ones((3, 3, 4)), np.zeros(4), Workspace())
         assert y.shape == (2, 5, 4)
 
     def test_kernel_wider_than_sequence_rejected(self):
         x = np.zeros((1, 2, 1))
         with pytest.raises(DimensionMismatch):
-            conv1d_forward(x, np.ones((3, 1, 1)), np.zeros(1))
+            conv1d_forward(x, np.ones((3, 1, 1)), np.zeros(1), Workspace())
 
 
 class TestPooling:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quantrange.config import MetricConfig, QuantileLevels
+from quantrange.config import LinearSpec, MetricConfig, QuantileLevels
 from quantrange.errors import LengthMismatch, ZeroRange
 from quantrange.interval_metrics import (
     comparison_row,
@@ -18,6 +18,8 @@ from quantrange.models.forecast import (
     QuantileForecast,
     repair_monotonic,
 )
+from quantrange.models.losses import mean_pinball
+from quantrange.models.network import init_params, loss_value
 
 
 def intervals(*pairs):
@@ -165,3 +167,37 @@ def test_comparison_row_format():
     assert name == "baseline"
     assert float(p) == report.picp
     assert float(c) == report.cwc
+
+
+def _column_cases():
+    """(name, function of the actuals) for each public function that takes
+    actuals, on one set of 50 rows."""
+    rng = np.random.default_rng(8)
+    values = np.sort(rng.uniform(0, 1, (50, 5)), axis=1)
+    forecast = QuantileForecast(values, QuantileLevels())
+    ivs = values[:, [0, -1]]
+    spec = LinearSpec(num_inputs=5)
+    params = init_params(spec, rng)
+    x = rng.uniform(0, 1, (50, 5, 1))
+    return {
+        "picp": lambda y: picp(y, ivs),
+        "pinaw": lambda y: pinaw(y, ivs),
+        "evaluate": lambda y: evaluate(y, forecast).to_text(),
+        "mean_pinball": lambda y: mean_pinball(values, y,
+                                               QuantileLevels().levels),
+        "loss_value": lambda y: loss_value(spec, params, x, y),
+    }
+
+
+# (N, 1) actuals broadcast against (N,) arrays: picp read 0.677 against
+# 0.780, and the pinball loss became an (N, N) mean
+@pytest.mark.parametrize("name", sorted(_column_cases()))
+def test_column_actuals_score_as_flat_ones(name):
+    y = np.random.default_rng(9).uniform(0, 1, 50)
+    score = _column_cases()[name]
+    assert repr(score(y[:, None])) == repr(score(y))
+
+
+def test_mean_pinball_rejects_a_target_count_mismatch():
+    with pytest.raises(LengthMismatch):
+        mean_pinball(np.zeros((3, 2)), np.zeros(4), (0.25, 0.75))

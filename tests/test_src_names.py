@@ -8,11 +8,18 @@ importing it, re-exporting it from an `__init__` and listing it in
 `__all__` do not count. A method or property counts as used when some
 module loads it as an attribute outside its own definition. Dunder
 methods are called by the language, not by name, and are not checked.
+
+Likewise every config key must be read: each field of a section class
+that a config key sets must be loaded as an attribute somewhere in `src/`,
+outside its own declaration.
 """
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from quantrange import config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -93,3 +100,25 @@ def unused_public_names():
 
 def test_every_public_name_in_src_is_used_in_src():
     assert sorted(unused_public_names()) == sorted(ALLOWED)
+
+
+def unread_config_keys():
+    """`Class.field` for each config key's field that no module of `src/`
+    loads as an attribute, outside the field's own declaration."""
+    attributes = sum((_loads(ast.parse(path.read_text(encoding="utf-8")),
+                             attributes_only=True)
+                      for path in SRC.rglob("*.py")), Counter())
+    tree = ast.parse((SRC / "quantrange" / "config.py").read_text(
+        encoding="utf-8"))
+    declarations = {(node.name, item.target.id): item
+                    for node in tree.body if isinstance(node, ast.ClassDef)
+                    for item in node.body if isinstance(item, ast.AnnAssign)}
+    return [f"{cls.__name__}.{f.name}"
+            for cls in config.Section.__subclasses__() for f in fields(cls)
+            if f.metadata.get("key", True) and attributes[f.name] == _loads(
+                declarations[cls.__name__, f.name],
+                attributes_only=True)[f.name]]
+
+
+def test_every_config_key_is_read_in_src():
+    assert unread_config_keys() == []
