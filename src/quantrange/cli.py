@@ -17,8 +17,9 @@ from . import market_data as md
 from . import svg
 from .config import RunConfig, load_config
 from .errors import (
-    AlignmentError, ConfigError, EmptyInput, InsufficientData, InvalidSpec,
-    MissingField, QuantRangeError, RuinousReturn, ShapeMismatch, ZeroRange,
+    AlignmentError, ConfigError, DegenerateFeature, EmptyInput,
+    InsufficientData, InvalidSpec, MissingField, QuantRangeError,
+    RuinousReturn, ShapeMismatch, ZeroRange,
 )
 from .io_utils import atomic_write_text, atomic_writer, reading
 from .models.checkpoint import load_checkpoint, save_checkpoint
@@ -89,7 +90,14 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 f"{getattr(cfg.data, 'split_' + name)} of {len(bars)} bar(s) "
                 f"leaves {len(split)} {name} bar(s), too few for window_in "
                 f"= {cfg.data.window_in} + 1 target bar")
-    norm = md.fit_minmax(names["train"].close)
+    try:
+        norm = md.fit_minmax(names["train"].close)
+    except DegenerateFeature:
+        raise ConfigError(
+            f"{source}: every close of the {n_train} train bars ([data] "
+            f"split_train = {cfg.data.split_train}) is "
+            f"{names['train'].close[0]}, so min-max scaling is undefined"
+        ) from None
     for name, split in names.items():
         ds = md.make_windows(split, norm, cfg.data.window_in, cfg.data.stride)
         md.save_dataset(ds, _out(cfg, f"{name}.wds"))

@@ -184,16 +184,11 @@ MODEL_KINDS = {"futurequant": ModelSpec, "quantile-linear": LinearSpec,
 class TrainConfig(Section):
     learning_rate: float = allow("> 0", 1e-3)
     epochs: int = allow(">= 0", 200)
-    # None: one full batch per epoch, in order
+    # step size in epoch e: lr * lr_decay**e on shuffled mini-batches;
+    # None: lr / sqrt(1 + e) on one full batch per epoch, in order
     batch_size: int | None = allow(">= 1", 32)
     seed: int = allow(">= 0", 0, key=False)
-    optimizer: str = allow(("sgd", "momentum", "adam"), "adam")
-    # step size in epoch e: "exponential" lr * lr_decay**e,
-    # "inverse-sqrt" lr / sqrt(1 + e)
-    lr_schedule: str = allow(("exponential", "inverse-sqrt"), "exponential",
-                             key=False)
     lr_decay: float = allow("> 0", 1.0, key=False)
-    momentum: float = allow("[0, 1)", 0.9)
     gradient_clip: float | None = allow("> 0", None)
 
 

@@ -39,6 +39,9 @@ def mean_pinball_and_grad(pred: np.ndarray, y: np.ndarray, levels, ws):
     from one difference per level, in buffers of the workspace ws. The kink
     at pred == y takes the pred >= y branch."""
     n, q = pred.shape
+    if y.size != n:
+        raise LengthMismatch(f"{y.size} targets vs {n} predictions")
+    y = y.reshape(-1)
     diff, loss, col = ws.empty((n,)), ws.empty((n,)), ws.empty((n,))
     above = ws.empty((n,), bool)
     grad = ws.empty((n, q))

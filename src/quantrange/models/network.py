@@ -215,7 +215,7 @@ def _linear_training(config):
     """Full-batch steps of lr/sqrt(1 + t) at lr 0.05 for at least 500
     epochs, the subgradient schedule the linear fit converges under."""
     return replace(config, learning_rate=0.05, epochs=max(config.epochs, 500),
-                   batch_size=None, lr_schedule="inverse-sqrt")
+                   batch_size=None)
 
 
 # each kind's functions, by its spec class (config.MODEL_KINDS names them)

@@ -1,4 +1,4 @@
-"""Training of any model kind with pluggable optimizers.
+"""Training of any model kind with Adam.
 
 Runs are deterministic for a given (spec, dataset, seed): fixed init,
 fixed shuffle order, serial batch reduction, float64 throughout.
@@ -19,7 +19,7 @@ ADAM_EPSILON = 1e-8
 
 
 class Optimizer:
-    """Updates a ParameterSet in place, as one step over its flat vector.
+    """One Adam step on a ParameterSet, in place over its flat vector.
     m, v and flat change in place, through two scratch vectors, with every
     product and sum of the plain update expressions in its order."""
 
@@ -42,24 +42,17 @@ class Optimizer:
                                       .sum()) for a in grads.values()))
             if total > cfg.gradient_clip:
                 g *= cfg.gradient_clip / total
-        if cfg.optimizer == "sgd":
-            params.flat -= np.multiply(g, self.lr, out=tmp)
-        elif cfg.optimizer == "momentum":
-            self.m *= cfg.momentum                          # momentum * m + g
-            self.m += g
-            params.flat -= np.multiply(self.m, self.lr, out=tmp)
-        else:  # adam
-            self.m *= ADAM_BETA1                # b1 * m + (1 - b1) * g
-            self.m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
-            self.v *= ADAM_BETA2                # b2 * v + (1 - b2) * g * g
-            np.multiply(g, 1 - ADAM_BETA2, out=tmp)
-            self.v += np.multiply(tmp, g, out=tmp)
-            # lr * mhat / (sqrt(vhat) + eps)
-            np.divide(self.m, 1 - ADAM_BETA1 ** self.t, out=tmp)
-            tmp *= self.lr
-            np.sqrt(np.divide(self.v, 1 - ADAM_BETA2 ** self.t, out=g), out=g)
-            g += ADAM_EPSILON
-            params.flat -= np.divide(tmp, g, out=tmp)
+        self.m *= ADAM_BETA1                # b1 * m + (1 - b1) * g
+        self.m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+        self.v *= ADAM_BETA2                # b2 * v + (1 - b2) * g * g
+        np.multiply(g, 1 - ADAM_BETA2, out=tmp)
+        self.v += np.multiply(tmp, g, out=tmp)
+        # lr * mhat / (sqrt(vhat) + eps)
+        np.divide(self.m, 1 - ADAM_BETA1 ** self.t, out=tmp)
+        tmp *= self.lr
+        np.sqrt(np.divide(self.v, 1 - ADAM_BETA2 ** self.t, out=g), out=g)
+        g += ADAM_EPSILON
+        params.flat -= np.divide(tmp, g, out=tmp)
 
 
 def _rows(a: np.ndarray, idx, ws: Workspace) -> np.ndarray:
@@ -97,13 +90,11 @@ def train(
     history = [loss_value(spec, params, inputs, targets)]
     ws = Workspace()    # every step's buffers, sized by the first batch
     for epoch in range(config.epochs):
-        if config.lr_schedule == "inverse-sqrt":
-            opt.lr = config.learning_rate / np.sqrt(1.0 + epoch)
-        else:
-            opt.lr = config.learning_rate * config.lr_decay ** epoch
         if config.batch_size is None:
+            opt.lr = config.learning_rate / np.sqrt(1.0 + epoch)
             batches = [None]            # all of the data, not a copy
         else:
+            opt.lr = config.learning_rate * config.lr_decay ** epoch
             order = rng.permutation(n)
             batches = [order[start:start + config.batch_size]
                        for start in range(0, n, config.batch_size)]

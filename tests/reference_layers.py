@@ -120,8 +120,8 @@ def conv1d_backward(cache, dy):
 
 
 class Optimizer:
-    """One update per named array; `arrays` maps names to arrays updated
-    in place, `config` is a `TrainConfig`."""
+    """One Adam update per named array; `arrays` maps names to arrays
+    updated in place, `config` is a `TrainConfig`."""
 
     def __init__(self, config, arrays: dict):
         self.config = config
@@ -143,14 +143,8 @@ class Optimizer:
         for name, g in grads.items():
             a = arrays[name]
             st = self.state[name]
-            if cfg.optimizer == "sgd":
-                a -= self.lr * g
-            elif cfg.optimizer == "momentum":
-                st["m"] = cfg.momentum * st["m"] + g
-                a -= self.lr * st["m"]
-            else:  # adam
-                st["m"] = ADAM_BETA1 * st["m"] + (1 - ADAM_BETA1) * g
-                st["v"] = ADAM_BETA2 * st["v"] + (1 - ADAM_BETA2) * g * g
-                mhat = st["m"] / (1 - ADAM_BETA1 ** self.t)
-                vhat = st["v"] / (1 - ADAM_BETA2 ** self.t)
-                a -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+            st["m"] = ADAM_BETA1 * st["m"] + (1 - ADAM_BETA1) * g
+            st["v"] = ADAM_BETA2 * st["v"] + (1 - ADAM_BETA2) * g * g
+            mhat = st["m"] / (1 - ADAM_BETA1 ** self.t)
+            vhat = st["v"] / (1 - ADAM_BETA2 ** self.t)
+            a -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)

@@ -97,8 +97,7 @@ def test_c04_pinball_optimum_oracle():
     spec = LinearSpec(num_inputs=0, levels=QuantileLevels(levels))
     params, _ = train(
         spec, np.zeros((1000, 0)), y,
-        TrainConfig(learning_rate=2.0, epochs=6000, seed=0, batch_size=None,
-                    lr_schedule="inverse-sqrt"),
+        TrainConfig(learning_rate=2.0, epochs=6000, seed=0, batch_size=None),
     )
     sorted_y = np.sort(y)
     gaps = np.diff(sorted_y)

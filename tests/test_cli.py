@@ -87,13 +87,10 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("section, text", [
         ("indicators", "[indicators]\natr_low = 0.0\n"),
-        ("train", "[train]\noptimizer = bogus\n"),
         ("train", "[train]\nbatch_size = 0\n"),
         # a clip of 0 never moves the model, a negative one ascends
         ("train", "[train]\ngradient_clip = 0.0\n"),
         ("train", "[train]\ngradient_clip = -1.0\n"),
-        ("train", "[train]\nmomentum = -5\n"),
-        ("train", "[train]\nmomentum = 1.0\n"),
         ("model", "[model]\nnum_blocks = 0\n"),
         ("model", "[model]\nhidden = 8\n"),
         # stride 0 raised a raw ValueError; -1 wrote a misaligned dataset
@@ -182,12 +179,14 @@ class TestConfigLoading:
 
     # fields of the section classes that no key sets: the loader fills them
     # from [run] and [data], or leaves them at their defaults; and the
-    # removed keys [data] window_out and [backtest] horizons
+    # removed keys [data] window_out, [backtest] horizons, [train] optimizer,
+    # [train] momentum and [train] lr_schedule
     @pytest.mark.parametrize("section, key", [
         ("train", "lr_decay"), ("train", "lr_schedule"), ("train", "seed"),
         ("synthetic", "seed"), ("model", "ln_epsilon"), ("model", "window_in"),
         ("model", "num_inputs"), ("model", "num_features"),
         ("data", "window_out"), ("backtest", "horizons"),
+        ("train", "optimizer"), ("train", "momentum"),
     ])
     def test_unset_field_is_an_unknown_key(self, tmp_path, capsys, section,
                                            key):
@@ -602,6 +601,25 @@ def test_zero_range_test_split_names_its_cause(tmp_path, capsys):
         f"error: {out / 'test.wds'}: actuals have zero range; PINAW "
         "undefined over its 1 window(s) ([data] stride = 100000, "
         "split_test = 0.15)\n")
+
+
+def test_constant_train_split_names_its_cause(tmp_path, capsys):
+    # gave `error: feature index 0 has zero range (100.0)`, naming no file,
+    # split or key
+    lines = ["UpdateTime,UpdateMillisec,LastPrice,Volume,BidPrice1,"
+             "BidVolume1,AskPrice1,AskVolume1"]
+    for i in range(400):
+        lines.append(f"{9 * 3600 + i // 2},{i % 2 * 500},100.0,{i + 1},"
+                     "99.5,1,100.5,1")
+    source = tmp_path / "ticks.csv"
+    source.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path,
+                          f"[data]\nsource = {source}\nbar_interval = 1.0\n")
+    assert main(["ingest", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {source}: every close of the 140 train bars ([data] "
+        "split_train = 0.7) is 100.0, so min-max scaling is undefined\n")
 
 
 # ticks.csv with a byte-order mark gave `error: ...: header lacks required

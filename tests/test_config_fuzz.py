@@ -36,8 +36,7 @@ EDGES = ["0", "-0", "1", "-1", "2", "3", "-2.5", "0.5", "1e-300", "1e300",
 CHOICES = {
     "int": ["1", "2", "3", "4", "5", "7"],
     "float": ["0.05", "0.1", "0.3", "0.5", "0.9", "2.0", "30.0"],
-    "str": ["synthetic", ",", *SYNTHETIC_KINDS, *KINDS, "sgd", "momentum",
-            "adam", *CWC_VARIANTS],
+    "str": ["synthetic", ",", *SYNTHETIC_KINDS, *KINDS, *CWC_VARIANTS],
     "bool": ["true", "false", "on", "off", "1", "0"],
     "tuple[int, int]": ["1,1", "4,4", "8,2"],
     "QuantileLevels": ["0.05,0.1,0.5,0.9,0.95", "0.05,0.25,0.5,0.75,0.95",

@@ -108,13 +108,11 @@ SHAPES = {"block0_wq": (16, 16), "block0_ln1_g": (16,),
 
 
 @pytest.mark.parametrize("clip", [None, 0.5, 1e6])
-@pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
-def test_optimizer_matches_per_array_updates(optimizer, clip):
+def test_optimizer_matches_per_array_updates(clip):
     rng = np.random.default_rng(0)
     arrays = {name: rng.standard_normal(shape) for name, shape in SHAPES.items()}
     params = ParameterSet(arrays)
-    config = TrainConfig(learning_rate=0.01, optimizer=optimizer,
-                         gradient_clip=clip)
+    config = TrainConfig(learning_rate=0.01, gradient_clip=clip)
     opt, opt_ref = Optimizer(config, params), ref.Optimizer(config, arrays)
     for step in range(20):
         # grads in the order a backward pass returns them, not the

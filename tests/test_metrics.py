@@ -19,7 +19,8 @@ from quantrange.models.forecast import (
     repair_monotonic,
 )
 from quantrange.models.losses import mean_pinball
-from quantrange.models.network import init_params, loss_value
+from quantrange.models.layers import Workspace
+from quantrange.models.network import init_params, loss_and_grads, loss_value
 
 
 def intervals(*pairs):
@@ -179,6 +180,11 @@ def _column_cases():
     spec = LinearSpec(num_inputs=5)
     params = init_params(spec, rng)
     x = rng.uniform(0, 1, (50, 5, 1))
+
+    def step(y):
+        value, grads = loss_and_grads(spec, params, x, y, None, Workspace())
+        return value, [g.tobytes() for g in grads.values()]
+
     return {
         "picp": lambda y: picp(y, ivs),
         "pinaw": lambda y: pinaw(y, ivs),
@@ -186,11 +192,13 @@ def _column_cases():
         "mean_pinball": lambda y: mean_pinball(values, y,
                                                QuantileLevels().levels),
         "loss_value": lambda y: loss_value(spec, params, x, y),
+        "loss_and_grads": step,
     }
 
 
 # (N, 1) actuals broadcast against (N,) arrays: picp read 0.677 against
-# 0.780, and the pinball loss became an (N, N) mean
+# 0.780, the pinball loss became an (N, N) mean, and loss_and_grads raised
+# numpy's ValueError
 @pytest.mark.parametrize("name", sorted(_column_cases()))
 def test_column_actuals_score_as_flat_ones(name):
     y = np.random.default_rng(9).uniform(0, 1, 50)
@@ -201,3 +209,11 @@ def test_column_actuals_score_as_flat_ones(name):
 def test_mean_pinball_rejects_a_target_count_mismatch():
     with pytest.raises(LengthMismatch):
         mean_pinball(np.zeros((3, 2)), np.zeros(4), (0.25, 0.75))
+
+
+def test_loss_and_grads_rejects_a_target_count_mismatch():
+    spec = LinearSpec(num_inputs=5)
+    params = init_params(spec, np.random.default_rng(8))
+    with pytest.raises(LengthMismatch, match="49 targets vs 50 predictions"):
+        loss_and_grads(spec, params, np.zeros((50, 5, 1)), np.zeros(49),
+                       None, Workspace())

@@ -23,7 +23,7 @@ from quantrange.models.network import (
 from quantrange.models.training import train
 
 # the linear kind's schedule: one full batch per epoch, step lr/sqrt(1 + t)
-FULL_BATCH = {"batch_size": None, "lr_schedule": "inverse-sqrt"}
+FULL_BATCH = {"batch_size": None}
 
 
 class TestNetworkTraining:
@@ -161,17 +161,12 @@ class TestEveryKind:
 # recorded with the per-array optimizer and the 3-D layer formulation
 # (numpy 2.4, OpenBLAS 0.3.31, x86-64). The golden test checks metrics to
 # 1e-9; this checks every bit. On another numpy/BLAS build the BLAS
-# kernels, and so the bits, may differ: re-record the constants there.
-LOCKED_FLAT_SHA256 = {
-    "sgd": "59392c9ee5861ca0ac3a052474388ec37767938d2d44a71c41e8c4e740a9017c",
-    "momentum":
-        "476f5715b2376ea9222c532e512de28da7d5382679083ab76cbc231a36342c73",
-    "adam": "e65561b5fc9aabb7f4ef4a066b90e8c4f3ae91b31d7ba4d9421a8545c7cfe09a",
-}
+# kernels, and so the bits, may differ: re-record the constant there.
+LOCKED_FLAT_SHA256 = (
+    "e65561b5fc9aabb7f4ef4a066b90e8c4f3ae91b31d7ba4d9421a8545c7cfe09a")
 
 
-@pytest.mark.parametrize("optimizer", sorted(LOCKED_FLAT_SHA256))
-def test_training_bits_locked(optimizer):
+def test_training_bits_locked():
     rng = np.random.default_rng(20)
     x, y = rng.uniform(0, 1, (100, 5, 1)), rng.uniform(0, 1, 100)
     # dropout, an even kernel width and a clip that triggers
@@ -179,9 +174,9 @@ def test_training_bits_locked(optimizer):
                      dropout_rate=0.1)
     params, _ = train(spec, x, y, TrainConfig(
         learning_rate=0.01, epochs=3, batch_size=16, seed=5,
-        optimizer=optimizer, lr_decay=0.9, gradient_clip=0.5))
+        lr_decay=0.9, gradient_clip=0.5))
     digest = hashlib.sha256(params.flat.tobytes()).hexdigest()
-    assert digest == LOCKED_FLAT_SHA256[optimizer]
+    assert digest == LOCKED_FLAT_SHA256
 
 
 class TestParameterSet:

@@ -28,10 +28,9 @@ def nan_buffers(monkeypatch):
                         lambda size, dtype: np.full(size, np.nan, dtype))
 
 
-@pytest.mark.parametrize("optimizer", sorted(test_training.LOCKED_FLAT_SHA256))
-def test_training_reads_no_buffer_before_writing_it(optimizer, monkeypatch):
+def test_training_reads_no_buffer_before_writing_it(monkeypatch):
     nan_buffers(monkeypatch)
-    test_training.test_training_bits_locked(optimizer)
+    test_training.test_training_bits_locked()
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -52,8 +51,7 @@ STEPS = {
                     TrainConfig(epochs=2, batch_size=64, seed=1)),
     "quantile-linear": (LinearSpec(num_inputs=5), 3495,
                         TrainConfig(learning_rate=0.05, epochs=13,
-                                    batch_size=None,
-                                    lr_schedule="inverse-sqrt", seed=1)),
+                                    batch_size=None, seed=1)),
 }
 
 
@@ -95,7 +93,7 @@ if kind == "futurequant":
 else:
     n, spec = 3495, LinearSpec(num_inputs=5)
     config = TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=None,
-                         lr_schedule="inverse-sqrt", seed=1)
+                         seed=1)
 rng = np.random.default_rng(0)
 x, y = rng.uniform(0, 1, (n, 5, 1)), rng.uniform(0, 1, n)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
