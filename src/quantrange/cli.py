@@ -62,6 +62,9 @@ def cmd_ingest(cfg: RunConfig) -> None:
     source = cfg.data.source
     if source == "synthetic":
         source = _out(cfg, "ticks.csv")
+    elif not os.path.exists(source):    # no stage writes a user's tick file
+        raise ConfigError(f"[data] source = {source} names a file that does "
+                          "not exist")
     with reading(source, "tick file", "r") as fh:
         try:
             read = md.read_bars(fh, cfg.data.delimiter, cfg.data.bar_interval)

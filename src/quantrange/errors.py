@@ -86,3 +86,7 @@ class ConfigError(QuantRangeError):
 
 class MissingArtifact(QuantRangeError):
     pass
+
+
+class UnwritableArtifact(QuantRangeError):
+    pass

@@ -10,7 +10,8 @@ import numpy as np
 from .config import MetricConfig
 from .errors import EmptyInput, LengthMismatch, ZeroRange
 from .models.forecast import QuantileForecast, interval_bounds
-from .models.losses import pinball_loss
+from .models.layers import Workspace
+from .models.losses import pinball
 
 @dataclass
 class MetricsReport:
@@ -106,16 +107,14 @@ def evaluate(
     intervals = np.stack([lower, upper], axis=1)
     picp_value = picp(y, intervals)
     pinaw_value = pinaw(y, intervals)
-    per_level = {
-        level: float(pinball_loss(forecast.values[:, j], y, level).mean())
-        for j, level in enumerate(forecast.levels.levels)
-    }
+    levels = forecast.levels.levels
+    per_level = pinball(forecast.values, y, levels, Workspace())[1]
     return MetricsReport(
         picp=picp_value,
         pinaw=pinaw_value,
         cwc=cwc(picp_value, pinaw_value, config),
         cwc_variant=config.cwc_variant,
-        mean_pinball=per_level,
+        mean_pinball=dict(zip(levels, map(float, per_level))),
         crossing_rate=crossing_rate(forecast),
         n=int(y.size),
         delta_y=float(y.max() - y.min()),

@@ -1,5 +1,6 @@
 """Atomic file writes (temp + rename) so reruns never leave partial
-artifacts, and the one failure rule for every file a stage reads."""
+artifacts, and the one failure rule for every file a stage reads or
+writes."""
 
 from __future__ import annotations
 
@@ -8,24 +9,28 @@ import struct
 import tempfile
 from contextlib import contextmanager
 
-from .errors import MissingArtifact
+from .errors import MissingArtifact, UnwritableArtifact
 
 
 @contextmanager
 def atomic_writer(path: str):
     """A binary file for the block, written at a temporary path beside
-    `path` and renamed to it only if the block completes."""
+    `path` and renamed to it only if the block completes. Any OSError (a
+    directory at `path`, a full disk) becomes an UnwritableArtifact."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UnwritableArtifact(
+            f"cannot write {path}: {exc.strerror}") from None
+    finally:            # a failed block leaves no temporary file
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -27,7 +27,7 @@ from ..config import LinearSpec, MLPSpec, ModelSpec
 from ..errors import NonFiniteLoss, ShapeMismatch
 from . import layers as L
 from .forecast import QuantileForecast
-from .losses import mean_pinball, mean_pinball_and_grad
+from .losses import mean_pinball, pinball
 
 
 class ParameterSet:
@@ -305,9 +305,8 @@ def loss_and_grads(spec, params: ParameterSet, x: np.ndarray, y: np.ndarray,
                    rng: np.random.Generator | None,
                    ws: L.Workspace) -> tuple[float, dict]:
     """Loss and gradients of one step, with dropout if rng is given."""
-    y = np.asarray(y, dtype=float)
     out, caches = forward_raw(spec, params, x, rng, ws)
-    value, dout = mean_pinball_and_grad(out, y, spec.levels.levels, ws)
+    value, _, dout = pinball(out, y, spec.levels.levels, ws)
     if not np.isfinite(value):
         raise NonFiniteLoss(f"loss diverged to {value}")
     return float(value), backward_raw(spec, caches, dout, ws)

@@ -1,3 +1,4 @@
+import errno
 import glob
 import os
 import re
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 
 import reference_market_data as ref
-from quantrange import synthetic
+from quantrange import io_utils, synthetic
 from quantrange.cli import main
 from quantrange.config import MODEL_KINDS as KINDS
 from quantrange.config import SYNTHETIC_KINDS, SyntheticSpec, load_config
-from quantrange.errors import ConfigError
+from quantrange.errors import ConfigError, UnwritableArtifact
 from quantrange.market_data import load_dataset
 from test_acceptance import ACCEPTANCE_CONFIG
 
@@ -221,6 +222,9 @@ class TestConfigLoading:
         ("[data]\ndelimiter = ;\n", [],
          "{tmp}/out/ticks.csv: header lacks required field 'UpdateTime' "
          "(header split on [data] delimiter = ';')"),
+        # a missing tick file was blamed on an earlier stage
+        ("[data]\nsource = {tmp}/nope.csv\n", [],
+         "[data] source = {tmp}/nope.csv names a file that does not exist"),
     ])
     def test_broken_run_exits_cleanly(self, tmp_path, capsys, text, args,
                                       named):
@@ -232,6 +236,15 @@ class TestConfigLoading:
         assert codes[-1] == 1    # synth exits 0, or 1 on a config error
         assert err.startswith("error:") and named.format(tmp=tmp) in err
         assert "Traceback" not in err
+
+    def test_synthetic_source_before_synth_names_the_stage(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: required artifact missing: {out / 'ticks.csv'} (run the "
+            "earlier pipeline stage first)\n")
 
     def test_readme_example_loads(self, tmp_path):
         with open(README, encoding="utf-8") as fh:
@@ -419,6 +432,44 @@ def test_unreadable_input_exits_cleanly(c10_linear_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}")
     assert "Traceback" not in err
+
+
+# each raised a raw IsADirectoryError from the rename of the temporary file
+@pytest.mark.parametrize("name, command", [
+    ("bars.tsv", "ingest"),
+    ("test.wds", "ingest"),
+    ("model-quantile-linear.ckpt", "train"),
+    ("loss-quantile-linear.tsv", "train"),
+    ("metrics-quantile-linear.txt", "eval"),
+    ("forecast-quantile-linear.bin", "eval"),
+    ("backtest-quantile-linear.txt", "backtest"),
+    ("equity-quantile-linear.svg", "backtest")])
+def test_unwritable_output_exits_cleanly(c10_linear_run, tmp_path, capsys,
+                                         name, command):
+    config, trained = c10_linear_run
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / name
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+    assert list(out.glob(".tmp-*")) == []
+
+
+def test_full_disk_names_the_file(tmp_path, monkeypatch):
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(io_utils.os, "replace", full)
+    path = tmp_path / "a.txt"
+    with pytest.raises(UnwritableArtifact,
+                       match=f"cannot write {re.escape(str(path))}: "
+                             f"{os.strerror(errno.ENOSPC)}$"):
+        io_utils.atomic_write_text(str(path), "x")
+    assert list(tmp_path.iterdir()) == []
 
 
 def cut_test_bars(config, out):

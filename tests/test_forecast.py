@@ -8,23 +8,23 @@ from quantrange.models.forecast import (
     interval_bounds,
     repair_monotonic,
 )
-from quantrange.models.losses import pinball_loss
+from quantrange.models.losses import mean_pinball
 
 
 class TestPinballLoss:
     def test_under_prediction(self):
-        assert pinball_loss(10.0, 12.0, 0.9) == pytest.approx(1.8)
+        assert mean_pinball([[10.0]], [12.0], [0.9]) == pytest.approx(1.8)
 
     def test_over_prediction(self):
-        assert pinball_loss(10.0, 8.0, 0.9) == pytest.approx(0.2)
+        assert mean_pinball([[10.0]], [8.0], [0.9]) == pytest.approx(0.2)
 
     def test_exact_hit_is_zero(self):
         for beta in (0.05, 0.5, 0.95):
-            assert pinball_loss(7.0, 7.0, beta) == 0.0
+            assert mean_pinball([[7.0]], [7.0], [beta]) == 0.0
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
-            pinball_loss(1.0, 1.0, 1.5)
+            mean_pinball([[1.0]], [1.0], [1.5])
 
 
 class TestQuantileLevels:

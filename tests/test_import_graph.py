@@ -39,6 +39,18 @@ def test_leaf_module_loads_no_model_module(module):
     assert [m for m in loaded if m.startswith("quantrange.models")] == []
 
 
+def test_objective_is_a_leaf():
+    """The pinball loss needs only the workspace, and the metrics that
+    score it load no model or training code."""
+    assert loaded_package_modules("quantrange.models.losses") == [
+        "quantrange", "quantrange.errors", "quantrange.models",
+        "quantrange.models.layers", "quantrange.models.losses"]
+    loaded = loaded_package_modules("quantrange.interval_metrics")
+    assert "quantrange.interval_metrics" in loaded
+    assert "quantrange.models.network" not in loaded
+    assert "quantrange.models.training" not in loaded
+
+
 def test_config_loads_only_errors_and_no_numpy():
     """The config schema is read without numpy or any model module."""
     assert loaded_package_modules("quantrange.config") == [

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quantrange.config import LinearSpec, MetricConfig, QuantileLevels
-from quantrange.errors import LengthMismatch, ZeroRange
+from quantrange.config import (
+    LinearSpec, MetricConfig, MLPSpec, ModelSpec, QuantileLevels,
+)
+from quantrange.errors import EmptyInput, LengthMismatch, ZeroRange
 from quantrange.interval_metrics import (
     comparison_row,
     crossing_rate,
@@ -20,7 +22,13 @@ from quantrange.models.forecast import (
 )
 from quantrange.models.losses import mean_pinball
 from quantrange.models.layers import Workspace
-from quantrange.models.network import init_params, loss_and_grads, loss_value
+from quantrange.models.network import (
+    forward,
+    forward_raw,
+    init_params,
+    loss_and_grads,
+    loss_value,
+)
 
 
 def intervals(*pairs):
@@ -211,9 +219,40 @@ def test_mean_pinball_rejects_a_target_count_mismatch():
         mean_pinball(np.zeros((3, 2)), np.zeros(4), (0.25, 0.75))
 
 
+# the mean was nan with a RuntimeWarning, and the subgradient would divide
+# by zero
+def test_mean_pinball_rejects_no_samples():
+    with pytest.raises(EmptyInput, match="at least one sample"):
+        mean_pinball(np.zeros((0, 2)), np.zeros(0), (0.25, 0.75))
+
+
 def test_loss_and_grads_rejects_a_target_count_mismatch():
     spec = LinearSpec(num_inputs=5)
     params = init_params(spec, np.random.default_rng(8))
     with pytest.raises(LengthMismatch, match="49 targets vs 50 predictions"):
         loss_and_grads(spec, params, np.zeros((50, 5, 1)), np.zeros(49),
                        None, Workspace())
+
+
+# training, loss_value, forward_raw's output and the metrics all score
+# through losses.pinball, so each reads the same float
+@pytest.mark.parametrize("spec", [
+    ModelSpec(num_blocks=1, num_heads=2, key_dim=4, dropout_rate=0.0),
+    MLPSpec(num_inputs=5),
+    LinearSpec(num_inputs=5),
+], ids=["futurequant", "quantile-mlp", "quantile-linear"])
+def test_every_reader_of_the_objective_gets_the_same_float(spec):
+    rng = np.random.default_rng(12)
+    params = init_params(spec, rng)
+    x, y = rng.uniform(0, 1, (40, 5, 1)), rng.uniform(0, 1, 40)
+    levels = spec.levels.levels
+    step, _ = loss_and_grads(spec, params, x, y, None, Workspace())
+    out, _ = forward_raw(spec, params, x, None, Workspace())
+    report = evaluate(y, forward(spec, params, x))
+    per_level = [report.mean_pinball[level] for level in levels]
+    values = [step, float(mean_pinball(out, y, levels)),
+              loss_value(spec, params, x, y), sum(per_level) / len(levels)]
+    assert [v.hex() for v in values] == [values[0].hex()] * 4
+    for j, level in enumerate(levels):
+        one = float(mean_pinball(out[:, [j]], y, [level]))
+        assert per_level[j].hex() == one.hex()
