@@ -11,10 +11,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import backtest as bt
-from . import interval_metrics as im
-from . import market_data as md
-from . import svg
 from .config import RunConfig, load_config
 from .errors import (
     AlignmentError, ConfigError, DegenerateFeature, EmptyInput,
@@ -28,7 +24,6 @@ from .models.forecast import (
 )
 from .models.network import KINDS, forward
 from .models.training import train
-from .strategy import REASONS
 from .synthetic import generate, to_tick_text
 from .text import digits, join, repr_field
 
@@ -54,11 +49,13 @@ def cmd_synth(cfg: RunConfig) -> None:
         raise InvalidSpec(f"synthetic path reaches the {what} price "
                           f"{float(prices[i])!r} at tick {i}; ingest needs "
                           "finite positive prices")
-    atomic_write_text(_out(cfg, "ticks.csv"), to_tick_text(prices))
+    with atomic_writer(_out(cfg, "ticks.csv")) as fh:
+        fh.writelines(to_tick_text(prices))
     print(f"wrote {_out(cfg, 'ticks.csv')} ({len(prices)} ticks)")
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
+    from . import market_data as md
     source = cfg.data.source
     if source == "synthetic":
         source = _out(cfg, "ticks.csv")
@@ -119,6 +116,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 
 def _read_bars_tsv(cfg: RunConfig, split: str) -> np.recarray:
+    from . import market_data as md
     with reading(_out(cfg, "bars.tsv"), "bar table", "r") as fh:
         rows = np.loadtxt(fh, delimiter="\t", skiprows=1, ndmin=1,
                           dtype=md.BAR_DTYPE.descr + [("split", "U5")])
@@ -126,8 +124,9 @@ def _read_bars_tsv(cfg: RunConfig, split: str) -> np.recarray:
     return rows.astype(md.BAR_DTYPE).view(np.recarray)
 
 
-def _price_forecast(spec, params, ds: md.WindowedDataset, ckpt: str,
+def _price_forecast(spec, params, ds, ckpt: str,
                     wds: str) -> QuantileForecast:
+    from . import market_data as md
     try:
         raw = forward(spec, params, ds.inputs)
     except ShapeMismatch as exc:
@@ -137,8 +136,7 @@ def _price_forecast(spec, params, ds: md.WindowedDataset, ckpt: str,
     return QuantileForecast(md.invert_minmax(raw.values, ds.norm), raw.levels)
 
 
-def _train_kind(cfg: RunConfig, kind: str, ds: md.WindowedDataset,
-                seed: int) -> list[float]:
+def _train_kind(cfg: RunConfig, kind: str, ds, seed: int) -> list[float]:
     """Train `kind` on ds from `seed`; write its checkpoint and loss table
     and return the loss history."""
     spec = cfg.specs[kind]
@@ -150,6 +148,7 @@ def _train_kind(cfg: RunConfig, kind: str, ds: md.WindowedDataset,
 
 
 def cmd_train(cfg: RunConfig) -> None:
+    from . import market_data as md
     ds = md.load_dataset(_out(cfg, "train.wds"))
     kind = cfg.model_kind
     history = _train_kind(cfg, kind, ds, cfg.seed)
@@ -157,9 +156,10 @@ def cmd_train(cfg: RunConfig) -> None:
           f"(final loss {history[-1]:.6g})")
 
 
-def _eval_kind(cfg: RunConfig, kind: str) -> im.MetricsReport:
+def _eval_kind(cfg: RunConfig, kind: str):
     """Score `kind`'s checkpoint on test.wds: write its metrics, its forecast
     table and forecast-<kind>.bin, and return the report."""
+    from . import interval_metrics as im, market_data as md
     ckpt = _out(cfg, f"model-{kind}.ckpt")
     _, spec, params = load_checkpoint(ckpt)
     wds = _out(cfg, "test.wds")
@@ -193,6 +193,7 @@ def _backtest_forecast(cfg: RunConfig,
     """eval's forecast and test.wds's target times. The forecast is read
     from forecast-<kind>.bin when that file was written from the checkpoint
     and test.wds as they are now, else computed again from them."""
+    from . import market_data as md
     ckpt = _out(cfg, f"model-{kind}.ckpt")
     wds = _out(cfg, "test.wds")
     cached = _out(cfg, f"forecast-{kind}.bin")
@@ -207,6 +208,8 @@ def _backtest_forecast(cfg: RunConfig,
 
 
 def cmd_backtest(cfg: RunConfig) -> None:
+    from . import backtest as bt, svg
+    from .strategy import REASONS
     kind = cfg.model_kind
     raw, target_times = _backtest_forecast(cfg, kind)
     bars_tsv = _out(cfg, "bars.tsv")
@@ -256,6 +259,7 @@ def cmd_backtest(cfg: RunConfig) -> None:
 
 
 def cmd_compare(cfg: RunConfig) -> None:
+    from . import interval_metrics as im, market_data as md
     ds = md.load_dataset(_out(cfg, "train.wds"))
     rows = ["Model\tPICP\tCWC"]
     for index, kind in enumerate(cfg.specs):

@@ -3,10 +3,9 @@ coverage and pinball-loss behaviour end to end."""
 
 from __future__ import annotations
 
-import math
-from array import array
+from itertools import accumulate
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,26 +26,35 @@ def _drift(spec: SyntheticSpec, x: float) -> float:
     return mean
 
 
+def _step(spec: SyntheticSpec) -> Callable[[float, float], float]:
+    """x' from x and the noise eps, in the operand order of
+    `_drift(spec, x) + _sigma(spec, x) * eps`, so the bits are the same."""
+    phi, s0, k = spec.phi, spec.sigma0, spec.vol_sensitivity
+    shift = spec.regime_shift
+    if spec.kind == "heteroscedastic-ar1":
+        return lambda x, eps: phi * x + s0 * (1.0 + k * abs(x)) * eps
+    if spec.kind == "regime-switch":
+        return lambda x, eps: (phi * x + (shift if x >= 0.0 else -shift)
+                               + s0 * eps)
+    return lambda x, eps: phi * x + s0 * eps
+
+
 def generate(spec: SyntheticSpec) -> tuple[np.ndarray, Callable[[float, float], float]]:
     """Returns (prices, oracle) where oracle(price_t, beta) is the exact
     conditional beta-quantile of the next price. Deterministic per seed."""
     # memoryview yields Python floats, the IEEE doubles numpy's float64
-    # scalars hold, so the bits are the same; array("d") stores them unboxed
+    # scalars hold, so the bits are the same
     noise = np.random.default_rng(spec.seed).standard_normal(spec.length - 1)
-    x, path = 0.0, array("d", [0.0])
-    for eps in memoryview(noise):
-        x = _drift(spec, x) + _sigma(spec, x) * eps
-        path.append(x)
-        if not math.isfinite(x):
-            break
-    # an overflowed path is stepped on over numpy float64 scalars: NaN + NaN
-    # keeps the sign of a different operand there than over Python floats
-    x = np.float64(x)
+    step = _step(spec)
+    path = np.fromiter(accumulate(memoryview(noise), step, initial=0.0),
+                       float, spec.length)
+    # from its first non-finite value on, the path steps over float64 scalars:
+    # NaN + NaN keeps the sign of a different operand there than over floats
+    bad = np.flatnonzero(~np.isfinite(path))
     with np.errstate(all="ignore"):
-        for eps in noise[len(path) - 1:]:
-            x = _drift(spec, x) + _sigma(spec, x) * eps
-            path.append(x)
-    prices = spec.base_price + np.frombuffer(path)
+        for t in range(bad[0] + 1 if bad.size else spec.length, spec.length):
+            path[t] = step(path[t - 1], noise[t - 1])
+    prices = spec.base_price + path
 
     nd = NormalDist()
 
@@ -68,13 +76,13 @@ def oracle_forecast(prices: np.ndarray, oracle, levels) -> np.ndarray:
     return out
 
 
-def to_tick_text(prices: np.ndarray) -> str:
+def to_tick_text(prices: np.ndarray) -> Iterator[bytes]:
     """Render a price path in the tick text format so the whole ingestion
     pipeline runs unchanged on synthetic input. Tick i is at 09:00:00 + i/2 s
-    with volume i + 1, last p, bid p - 0.5 and ask p + 0.5 as %.6f; rows are
-    built as 0-padded byte tables, 65536 at a time."""
-    blocks = ["UpdateTime,UpdateMillisec,LastPrice,Volume,"
-              "BidPrice1,BidVolume1,AskPrice1,AskVolume1\n"]
+    with volume i + 1, last p, bid p - 0.5 and ask p + 0.5 as %.6f; yields
+    the header, then the rows as 0-padded byte tables, 65536 at a time."""
+    yield (b"UpdateTime,UpdateMillisec,LastPrice,Volume,"
+           b"BidPrice1,BidVolume1,AskPrice1,AskVolume1\n")
     for start in range(0, len(prices), 65536):
         p = prices[start:start + 65536]
         i = np.arange(start, start + len(p))
@@ -83,5 +91,4 @@ def to_tick_text(prices: np.ndarray) -> str:
                  digits(t % 60, 2), b",", digits(500 * (i % 2), 1), b",",
                  fixed6_field(p), b",", digits(i + 1, 1), b",",
                  fixed6_field(p - 0.5), b",1,", fixed6_field(p + 0.5), b",1\n"]
-        blocks.append(join(cells, len(p)).decode("ascii"))
-    return "".join(blocks)
+        yield join(cells, len(p))

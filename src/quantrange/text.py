@@ -1,31 +1,52 @@
 """Numpy columns rendered as ASCII byte tables: one row per value, the
 padding before each cell's text held as 0 bytes, which `join` drops."""
 
+from functools import cache
+
 import numpy as np
+
+
+@cache
+def _table(keep: int) -> np.ndarray:
+    """The 10**4 four-digit strings as uint32, their zeros before the last
+    `keep` digits as 0 bytes, then all again with every digit kept."""
+    q = np.arange(10 ** 4)[:, None] // 10 ** np.arange(3, -1, -1)
+    text = (q % 10 + 48).astype(np.uint8)
+    blank = np.where((np.arange(4) < 4 - keep) & (q == 0), 0, text)
+    return np.concatenate([blank, text]).view(np.uint32).ravel()
 
 
 def digits(v: np.ndarray, keep: int) -> np.ndarray:
     """The ASCII digits of int64 values v >= 0, one row each; the leading
-    zeros before the last `keep` digits are 0 bytes."""
+    zeros before the last `keep` digits are 0 bytes. Each group of four is one
+    lookup; below a nonzero digit it reads the table's zero-keeping half."""
     width = max(keep, len(str(v.max())))
-    out, rest = np.empty((len(v), width), np.uint8), v
-    for j in range(width - 1, -1, -1):
-        rest, out[:, j] = np.divmod(rest, 10)
-    out += 48
-    out[:, :-keep] *= v[:, None] >= 10 ** np.arange(width - 1, keep - 1, -1)
-    return out
+    out, rest = np.empty((len(v), -(-width // 4)), np.uint32), v
+    for j, g in enumerate(range(out.shape[1] - 1, 0, -1)):
+        i = rest // 10 ** (4 * g)
+        np.take(_table(keep - 4 * g), i, out=out[:, j], mode="clip")
+        i -= i > 0      # so `rest` keeps 10**(4g) below a nonzero digit
+        i *= 10 ** (4 * g)
+        rest = rest - i
+    np.take(_table(keep), rest, out=out[:, -1], mode="clip")
+    return out.view(np.uint8)[:, -width:]
+
+
+def _rows(a: np.ndarray) -> np.ndarray:    # a row as one item: one memmove
+    return a.view(f"V{a.shape[1]}")
 
 
 def _point6(field: np.ndarray, x: np.ndarray, fast, fmt) -> np.ndarray:
     """The digit rows `field` with a point before their last six digits,
     and in each row of x off the fast path, fmt(v) instead."""
-    field = np.insert(field, field.shape[1] - 6, ord("."), axis=1)
     slow = np.flatnonzero(~fast)
     text = np.array([fmt(v) for v in x[slow].tolist()], dtype=bytes)
-    width = max(field.shape[1], text.itemsize)
-    field = np.pad(field, ((0, 0), (width - field.shape[1], 0)))
-    field[slow] = text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
-    return field
+    out = np.zeros((len(x), max(field.shape[1] + 1, text.itemsize)), np.uint8)
+    _rows(out[:, -field.shape[1] - 1:-7])[...] = _rows(field[:, :-6])
+    out[:, -7] = ord(".")
+    _rows(out[:, -6:])[...] = _rows(field[:, -6:])
+    out[slow] = text.astype(f"S{out.shape[1]}")[:, None].view(np.uint8)
+    return out
 
 
 def fixed6_field(x: np.ndarray) -> np.ndarray:
@@ -58,6 +79,10 @@ def repr_field(x: np.ndarray) -> np.ndarray:
 def join(cells: list, n: int) -> bytes:
     """The table of n rows whose columns are `cells`, each a field or bytes
     that every row repeats, without its 0 bytes."""
-    table = np.hstack([np.tile(np.frombuffer(c, np.uint8), (n, 1))
-                       if isinstance(c, bytes) else c for c in cells])
-    return table[table != 0].tobytes()
+    cells = [np.frombuffer(c, np.uint8)[None] if isinstance(c, bytes) else c
+             for c in cells]
+    ends = np.cumsum([c.shape[1] for c in cells])
+    table = np.empty((n, ends[-1]), np.uint8)
+    for c, end in zip(cells, ends):
+        _rows(table[:, end - c.shape[1]:end])[...] = _rows(c)
+    return table.tobytes().replace(b"\0", b"")

@@ -74,13 +74,13 @@ class TestGenerate:
 class TestTickRendering:
     def test_round_trips_through_parser(self):
         prices, _ = generate(SyntheticSpec(length=50, seed=6))
-        result = parse_ticks(to_tick_text(prices))
+        result = parse_ticks(b"".join(to_tick_text(prices)).decode())
         assert len(result.records) == 50
         got = np.array([r.last_price for r in result.records])
         assert np.allclose(got, prices, atol=1e-6)
 
     def test_volume_is_cumulative(self):
         prices, _ = generate(SyntheticSpec(length=10, seed=7))
-        records = parse_ticks(to_tick_text(prices)).records
+        records = parse_ticks(b"".join(to_tick_text(prices)).decode()).records
         vols = [r.volume for r in records]
         assert vols == list(range(1, 11))

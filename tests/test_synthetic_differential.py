@@ -34,13 +34,13 @@ PRICES = st.one_of(
 @given(st.lists(PRICES, max_size=30))
 def test_rendering_is_byte_equal(values):
     prices = np.array(values, dtype=float)
-    assert to_tick_text(prices) == ref.to_tick_text(prices)
+    assert b"".join(to_tick_text(prices)).decode() == ref.to_tick_text(prices)
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3])
 def test_short_paths(length):
     prices = np.array([100.0078125, 0.25, 9.9999995][:length])
-    assert to_tick_text(prices) == ref.to_tick_text(prices)
+    assert b"".join(to_tick_text(prices)).decode() == ref.to_tick_text(prices)
 
 
 def test_block_boundary():
@@ -51,7 +51,8 @@ def test_block_boundary():
     prices[65532:] = [100.0078125, 0.25, 9.9999995, 127.9999996, 0.5]
     lines = ref.to_tick_text(prices).splitlines(keepends=True)
     for length in (65535, 65536, 65537):
-        assert to_tick_text(prices[:length]) == "".join(lines[:length + 1])
+        assert (b"".join(to_tick_text(prices[:length])).decode()
+                == "".join(lines[:length + 1]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -66,4 +67,18 @@ def test_generate_is_bit_equal(kind, phi, sigma0, k, shift, seed, length):
     prices, _ = generate(spec)
     with np.errstate(all="ignore"):     # a heteroscedastic path overflows
         expected = ref.generate_prices(spec)
+    assert prices.tobytes() == expected.tobytes()
+
+
+def test_overflowed_path_is_bit_equal():
+    # phi**2 + (sigma0 k)**2 far above 1: the path leaves the doubles at tick
+    # 299 and is NaN after it, so generate steps its tail over float64
+    # scalars, from the first non-finite value its loop left
+    spec = SyntheticSpec(kind="heteroscedastic-ar1", length=3000, seed=0,
+                         phi=0.99, sigma0=10.0, vol_sensitivity=2.0)
+    prices, _ = generate(spec)
+    with np.errstate(all="ignore"):
+        expected = ref.generate_prices(spec)
+    assert np.flatnonzero(~np.isfinite(prices))[0] == 299
+    assert np.isnan(prices[300:]).all()
     assert prices.tobytes() == expected.tobytes()

@@ -5,6 +5,7 @@ or `str(n)`, on both sides of repr_field's fast path."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantrange.text import digits, fixed6_field, repr_field
@@ -64,7 +65,22 @@ def test_fixed6_field_is_percent_f(values):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=40),
-       st.integers(1, 3))
+       st.integers(1, 8))
 def test_digits_are_str(values, keep):
+    assert cells(digits(np.array(values, dtype=np.int64), keep)) == [
+        str(n).zfill(keep) for n in values]
+
+
+# either side of each edge of a group of four digits, to the largest int64
+GROUP_EDGES = [0, 9, 9999, 10 ** 4, 10 ** 8 - 1, 10 ** 8, 10 ** 12,
+               2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("keep", [1, 7])
+@pytest.mark.parametrize("top", GROUP_EDGES)
+def test_digits_at_group_edges(top, keep):
+    # `top` is the column's largest value, so it sets the number of groups,
+    # and every smaller edge below it leaves groups above its own blank
+    values = [n for n in GROUP_EDGES if n <= top]
     assert cells(digits(np.array(values, dtype=np.int64), keep)) == [
         str(n).zfill(keep) for n in values]
